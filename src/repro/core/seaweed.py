@@ -24,6 +24,14 @@ Both engines are bit-identical on every input (the (sub)unit-Monge product
 is unique); the property tests in ``tests/test_seaweed.py`` and the
 ``python -m repro perf`` regression subsystem pin that identity.
 
+:func:`multiply_permutations` with the iterative engine first tries the
+**compiled kernel** (``_seaweed.c``, loaded by :mod:`repro.core.native`): the
+same split at fan-in 2, recursing down to single points, merged bottom-up by
+the same staircase walk in C.  When the kernel is unavailable (no gcc, a
+failed build or load) it runs :func:`multiply_permutations_iterative`
+unchanged.  The oracle chain is therefore kernel → NumPy iterative engine →
+recursive reference; ``tests/test_native.py`` pins the first link.
+
 The staircase merge of two sub-results ``P_0`` (color 0) and ``P_1``
 (color 1) rests on Lemma 3.2 specialised to ``H = 2``: with
 ``delta(i, j) = F_1(i, j) - F_0(i, j)``, ``delta`` is non-increasing in both
@@ -46,6 +54,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import native
 from .combine import combine_colored
 from .dense import multiply_dense
 from .permutation import EMPTY, Permutation, SubPermutation
@@ -548,6 +557,9 @@ def multiply_permutations(
     plan:
         The full :class:`~repro.core.plan.MultiplyPlan` (engine selection and
         tuned knobs).  Defaults to the iterative engine's static defaults.
+
+    With the iterative engine the compiled kernel runs whenever it has
+    loaded; ``fanin`` and ``base_size`` then only shape the NumPy fallback.
     """
     resolved = resolve_plan(plan, fanin=fanin, base_size=base_size)
     if resolved.engine == "reference":
@@ -558,6 +570,12 @@ def multiply_permutations(
             base_size=resolved.base_size,
             dense_table_limit=resolved.dense_table_limit,
         )
+    compiled = native.kernel()
+    if compiled is not None and pa.size == pb.size:
+        out = compiled.multiply(pa.row_to_col, pb.row_to_col)
+        if out is not None:
+            _MULTIPLIES.inc()
+            return Permutation(out, validate=False)
     return multiply_permutations_iterative(pa, pb, resolved)
 
 

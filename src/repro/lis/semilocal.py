@@ -35,6 +35,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core import native
 from ..core.combine import ColoredPointSet
 from ..core.permutation import SubPermutation
 from ..core.plan import MultiplyPlan
@@ -137,22 +138,14 @@ def validate_intervals(
 DENSE_BLOCK_SIZE = 96
 
 
-def _dense_block_matrix(split_coords: np.ndarray, index_coords: np.ndarray) -> SubPermutation:
-    """Directly build the block matrix of a small block.
+def _patience_scores(compact: Sequence[int], m: int) -> np.ndarray:
+    """The dense score table ``T[x, y] = #{tails < y}`` of the patience passes.
 
-    For every left endpoint ``x``, a patience pass over the block's elements
-    (in split order, keeping only index values ``>= x``) produces the array of
-    minimal tails; the semi-local score is then ``T(x, y) = #{tails < y}``.
-    The block matrix is recovered from the dense score table by finite
-    differences of ``K = span - T``.
+    For every left endpoint ``x``, a patience pass over ``compact`` (keeping
+    only values ``>= x``) produces the array of minimal tails.  This loop is
+    the oracle of the compiled ``repro_patience_scores`` kernel.
     """
     import bisect
-
-    m = len(index_coords)
-    order = np.argsort(split_coords, kind="stable")
-    # Compact the index coordinates of the block to 0..m-1.
-    sorted_idx = np.sort(index_coords)
-    compact = np.searchsorted(sorted_idx, index_coords[order]).tolist()
 
     scores = np.zeros((m + 1, m + 1), dtype=np.int64)
     grid = np.arange(m + 1, dtype=np.int64)
@@ -167,7 +160,32 @@ def _dense_block_matrix(split_coords: np.ndarray, index_coords: np.ndarray) -> S
             else:
                 tails[pos] = value
         scores[x, :] = np.searchsorted(np.asarray(tails, dtype=np.int64), grid, side="left")
+    return scores
 
+
+def _dense_block_matrix(split_coords: np.ndarray, index_coords: np.ndarray) -> SubPermutation:
+    """Directly build the block matrix of a small block.
+
+    For every left endpoint ``x``, a patience pass over the block's elements
+    (in split order, keeping only index values ``>= x``) produces the array of
+    minimal tails; the semi-local score is then ``T(x, y) = #{tails < y}``
+    (compiled kernel when loaded, else :func:`_patience_scores`).  The block
+    matrix is recovered from the dense score table by finite differences of
+    ``K = span - T``.
+    """
+    m = len(index_coords)
+    order = np.argsort(split_coords, kind="stable")
+    # Compact the index coordinates of the block to 0..m-1.
+    sorted_idx = np.sort(index_coords)
+    compact = np.searchsorted(sorted_idx, index_coords[order])
+
+    compiled = native.kernel()
+    if compiled is not None:
+        scores = compiled.patience_scores(compact)
+    else:
+        scores = _patience_scores(compact.tolist(), m)
+
+    grid = np.arange(m + 1, dtype=np.int64)
     span = grid[None, :] - grid[:, None]
     dist = np.where(span > 0, span - scores, 0)
     density = dist[:-1, 1:] - dist[:-1, :-1] - dist[1:, 1:] + dist[1:, :-1]

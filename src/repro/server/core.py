@@ -53,6 +53,7 @@ from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.serialize import to_jsonable
+from ..core.native import kernel_status
 from ..obs.metrics import (
     exemplars_from_snapshot,
     gauge_fragment,
@@ -266,6 +267,9 @@ class ServerCore:
         self._session_counter = itertools.count(1)
         self._tasks: set = set()
         self._started = time.perf_counter()
+        # Load the compiled kernel now, so the repro_native_kernel gauge is
+        # truthful from the first scrape rather than the first build.
+        kernel_status()
         #: Head+tail retention policy for the ring buffer.  The default
         #: (head_rate=1.0) keeps every completed trace — the historical
         #: behaviour — while still exercising the decision counters.
@@ -1116,6 +1120,7 @@ class ServerCore:
             "coalesce_seconds": self.coalesce_seconds,
             "build_queue_limit": self.build_queue_limit,
             "internal_errors": self.internal_errors,
+            "native_kernel": int(get_registry().gauge("repro_native_kernel").value()),
             "requests": {
                 "received": self.requests_received,
                 "answered": self.requests_answered,

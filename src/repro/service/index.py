@@ -37,6 +37,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.native import kernel_status
 from ..core.permutation import SubPermutation
 from ..core.plan import MultiplyPlan
 from ..lcs.hunt_szymanski import match_pairs
@@ -238,6 +239,7 @@ def _provenance(
     doc: Dict[str, Any] = {
         "mode": mode,
         "build_seconds": float(seconds),
+        "kernel": kernel_status(),
     }
     if plan is not None:
         doc["plan"] = plan.describe()

@@ -62,6 +62,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core.native import kernel_status
 from ..core.plan import MultiplyPlan, resolve_plan
 from ..mpc.engine import fork_context, in_daemonic_process
 from ..obs.metrics import get_registry, relabel_snapshot
@@ -298,6 +299,7 @@ def _shard_worker_main(conn, shard_id: int, config: ShardConfig) -> None:
     # router's own collector): start this process's counts from zero or the
     # merged /metrics exposition double-counts after every worker restart.
     get_registry().reset()
+    kernel_status()  # republish this process's repro_native_kernel gauge
     if config.fault_plan is not None:
         install_plan(config.fault_plan)
     service, spill_dir = _build_worker_service(config, shard_id)
@@ -347,6 +349,9 @@ class _WorkerBase:
         self.restarts = 0
         self.hangs = 0
         self.spill_dir: Optional[str] = None
+        #: Every spill directory a worker of this shard has used: a killed
+        #: worker never runs its own cleanup, so restart and close sweep them.
+        self.owned_spill_dirs: List[str] = []
 
     def call(
         self,
@@ -363,9 +368,14 @@ class _WorkerBase:
     def stop(self) -> None:
         raise NotImplementedError
 
+    def _own_spill(self, spill_dir: Optional[str]) -> None:
+        self.spill_dir = spill_dir
+        if spill_dir is not None and spill_dir not in self.owned_spill_dirs:
+            self.owned_spill_dirs.append(spill_dir)
+
     def _cleanup_spill(self) -> None:
-        if self.spill_dir is not None:
-            shutil.rmtree(self.spill_dir, ignore_errors=True)
+        for spill_dir in self.owned_spill_dirs:
+            shutil.rmtree(spill_dir, ignore_errors=True)
 
 
 class _ProcessWorker(_WorkerBase):
@@ -400,10 +410,10 @@ class _ProcessWorker(_WorkerBase):
         self._stale = 0
         # The worker derives its spill subdir from its own pid; mirror the
         # derivation here so leftover directories of *crashed* workers can
-        # still be removed at router close.
+        # still be removed at restart and router close.
         if self.config.spill_root:
-            self.spill_dir = os.path.join(
-                self.config.spill_root, f"shard{self.shard_id}-pid{process.pid}"
+            self._own_spill(
+                os.path.join(self.config.spill_root, f"shard{self.shard_id}-pid{process.pid}")
             )
 
     def call(
@@ -508,6 +518,9 @@ class _ProcessWorker(_WorkerBase):
 
     def restart(self) -> None:
         self._teardown(graceful=False)
+        # The dead worker's spill files may be half-written: clear them
+        # before its successor starts.
+        self._cleanup_spill()
         self.restarts += 1
         self._spawn()
 
@@ -551,7 +564,8 @@ class _InlineWorker(_WorkerBase):
 
     def __init__(self, shard_id: int, config: ShardConfig) -> None:
         super().__init__(shard_id, config)
-        self._service, self.spill_dir = _build_worker_service(config, shard_id)
+        self._service, spill_dir = _build_worker_service(config, shard_id)
+        self._own_spill(spill_dir)
 
     def call(
         self,
@@ -567,7 +581,8 @@ class _InlineWorker(_WorkerBase):
 
     def restart(self) -> None:  # pragma: no cover - inline workers cannot crash
         self.restarts += 1
-        self._service, self.spill_dir = _build_worker_service(self.config, self.shard_id)
+        self._service, spill_dir = _build_worker_service(self.config, self.shard_id)
+        self._own_spill(spill_dir)
 
     def stop(self) -> None:
         self._cleanup_spill()

@@ -339,6 +339,18 @@ class TestServerObservability:
         after = parse_prometheus_text(text)["repro_server_passes_total"][()]
         assert after >= before + 1
 
+    def test_native_kernel_gauge_on_metrics_and_stats(self, sharded_server):
+        from repro.core.native import kernel
+        from repro.server import get_json
+
+        expected = 1.0 if kernel() is not None else 0.0
+        _, _, text = _get_text(sharded_server.url + "/metrics")
+        series = parse_prometheus_text(text)["repro_native_kernel"]
+        assert series[()] == expected  # the router process
+        assert series[(("shard", "0"),)] == series[(("shard", "1"),)] == expected
+        _, _, stats = get_json(sharded_server.url + "/stats")
+        assert stats["native_kernel"] == expected
+
     def test_healthz_and_stats_schema(self, sharded_server):
         import repro
         from repro.server import get_json

@@ -235,6 +235,24 @@ class TestIsolationAndWarmup:
             router.close()
         assert os.listdir(spill_root) == []
 
+    def test_killed_worker_spill_dir_removed_on_restart_and_close(self, tmp_path):
+        spill_root = str(tmp_path / "spill")
+        router = ShardRouter(1, cache_bytes=4096, spill_dir=spill_root)
+        try:
+            router.submit(_mixed_requests(seed=2, targets=4))
+            worker = router._workers[0]
+            old_dir = worker.spill_dir
+            assert os.listdir(old_dir), "tiny cache budget should have spilled"
+            worker.process.kill()  # SIGKILL: the worker's own cleanup never runs
+            worker.process.join(timeout=10)
+            router.submit(_mixed_requests(seed=3, targets=2))
+            assert worker.restarts == 1
+            assert not os.path.exists(old_dir)
+            assert os.listdir(spill_root) == [os.path.basename(worker.spill_dir)]
+        finally:
+            router.close()
+        assert os.listdir(spill_root) == []
+
     def test_prefetch_makes_submissions_pure_cache_hits(self):
         requests = _mixed_requests(seed=12, targets=4)
         specs = {
