@@ -301,6 +301,16 @@ for shard_id, expected in enumerate(service["load"]["per_shard_requests"]):
     )
 assert "repro_shard_pipe_seconds_count" in parsed, "pipe timing histogram missing"
 
+# Server-level counts reconcile too: /stats reads the metrics /metrics renders.
+passes = parsed["repro_server_passes_total"][()]
+assert stats["coalescing"]["passes"] == passes, (stats["coalescing"], passes)
+rejected = sum(parsed["repro_server_rejections_total"].values())
+assert stats["requests"]["rejected"] == rejected, (stats["requests"], rejected)
+queue_waits = parsed["repro_server_queue_wait_seconds_count"][()]
+assert stats["timings"]["queue_wait"]["count"] == queue_waits, (
+    stats["timings"]["queue_wait"], queue_waits
+)
+
 # A traced batch covers edge -> coalesce -> route -> worker -> answer.
 trace_id = cold.get("trace_id") or warm.get("trace_id")
 assert trace_id, "batch response carries no trace_id"
@@ -310,7 +320,8 @@ assert {"edge", "coalesce", "route", "worker", "answer"} <= names, names
 print(
     f"sharded serve-http OK: workers={service['workers']}, "
     f"per-shard requests={service['load']['per_shard_requests']} "
-    f"(reconciled with /metrics), trace {trace_id} spans={sorted(names)}, "
+    f"(reconciled with /metrics, as are passes, rejections and queue-wait "
+    f"observations), trace {trace_id} spans={sorted(names)}, "
     f"cold->warm shard-cache hit verified"
 )
 EOF

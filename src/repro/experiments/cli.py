@@ -317,13 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8077, metavar="P", help="bind port (0 = ephemeral)"
     )
     serve_http_parser.add_argument(
-        "--transport",
-        choices=("auto", "asyncio", "thread"),
-        default="auto",
-        help="network transport (auto picks the asyncio codec; answers are "
-        "transport-invariant)",
-    )
-    serve_http_parser.add_argument(
         "--max-inflight",
         type=int,
         default=64,
@@ -914,7 +907,6 @@ def _cmd_serve_http(args, out) -> int:
         service,
         host=args.host,
         port=args.port,
-        transport=args.transport,
         max_inflight=args.max_inflight,
         build_queue_limit=args.build_queue,
         coalesce_seconds=args.coalesce_ms / 1000.0,
@@ -930,8 +922,7 @@ def _cmd_serve_http(args, out) -> int:
         f", shards={service.shards}" if isinstance(service, ShardRouter) else ""
     )
     print(
-        f"listening on {handle.url} (transport={handle.transport}, "
-        f"max_inflight={handle.core.max_inflight}, "
+        f"listening on {handle.url} (max_inflight={handle.core.max_inflight}, "
         f"coalesce={handle.core.coalesce_seconds * 1000:.1f} ms{shard_note})",
         file=out,
         flush=True,

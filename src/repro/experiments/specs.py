@@ -1191,7 +1191,6 @@ def run_service_latency_point(
     duration: float = 0.8,
     max_inflight: int = 64,
     coalesce_seconds: float = 0.002,
-    transport: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One load-generator measurement against an in-process HTTP server.
 
@@ -1199,7 +1198,7 @@ def run_service_latency_point(
     traffic (closed loop: ``concurrency`` saturating workers; open loop:
     fixed-``rate`` arrivals).  Every successful answer is compared
     bit-for-bit against a serial :class:`QueryService` oracle evaluated
-    outside the server — the transport/coalescing machinery must never
+    outside the server — the HTTP/coalescing machinery must never
     change an answer.
     """
     from ..server import get_json, post_json, run_load, start_server
@@ -1207,7 +1206,6 @@ def run_service_latency_point(
     documents = _latency_documents(workload, n, seed, batch)
     handle = start_server(
         QueryService(cache=IndexCache()),
-        transport=transport,
         max_inflight=max_inflight,
         coalesce_seconds=coalesce_seconds,
     )
@@ -1251,8 +1249,7 @@ def run_service_latency_point(
     coalescing = stats["coalescing"]
     return {
         "n": n,
-        "transport": handle.transport,
-        "aiohttp_available": bool(stats["aiohttp_available"]),
+        "transport": stats["transport"],
         "requests": report.requests,
         "ok": report.ok,
         "rejected": report.rejected,
@@ -1299,7 +1296,7 @@ def check_service_latency(points: List[PointResult]) -> None:
             f"p50={row['p50_ms']}, p95={row['p95_ms']}, p99={row['p99_ms']}"
         )
         assert row["qps"] > 0.0, f"zero sustained QPS on {case}"
-        assert row["transport"] in ("asyncio", "thread"), (
+        assert row["transport"] == "asyncio", (
             f"unknown transport {row['transport']!r} on {case}"
         )
         reference = by_batch.setdefault(row["batch"], row)

@@ -35,6 +35,7 @@ __all__ = [
     "get_registry",
     "log_buckets",
     "histogram_quantile",
+    "timing_summary",
     "merge_snapshots",
     "relabel_snapshot",
     "gauge_fragment",
@@ -233,6 +234,26 @@ def histogram_quantile(q: float, bounds: Sequence[float], counts: Sequence[int])
     return float(bounds[-1])
 
 
+def timing_summary(histogram: Histogram, *label_sets: Mapping[str, Any]) -> Dict[str, float]:
+    """``count`` / ``total_seconds`` / ``mean_seconds`` of a timing histogram.
+
+    Sums the samples of the given label sets (none: the unlabelled sample),
+    so a ``/stats`` timing block reads the very observations ``/metrics``
+    renders.  ``count`` is the number of observations.
+    """
+    count, total = 0, 0.0
+    for labels in label_sets or ({},):
+        sample = histogram.sample(**labels)
+        if sample is not None:
+            count += sample["count"]
+            total += sample["sum"]
+    return {
+        "count": count,
+        "total_seconds": total,
+        "mean_seconds": total / count if count else 0.0,
+    }
+
+
 class MetricsRegistry:
     """A process-local, thread-safe collection of named metrics.
 
@@ -240,9 +261,9 @@ class MetricsRegistry:
     modules call them at import time and every call site in the process
     shares one metric object.  ``collectors`` are zero-argument callables
     returning snapshot fragments, evaluated at :meth:`snapshot` time — used
-    for values that already live elsewhere (e.g. the shard router's
-    per-worker routing counters), so the exposition *reconciles exactly*
-    with ``/stats`` instead of drifting in a parallel count.
+    for values that already live elsewhere (e.g. the per-instance registry
+    of a server core or shard router, whose counters ``/stats`` reads back),
+    so the exposition *reconciles exactly* with ``/stats``.
     """
 
     def __init__(self) -> None:

@@ -2,34 +2,33 @@
 
 The server package puts a network face on :class:`~repro.service.serving.QueryService`:
 
-* :mod:`~repro.server.core` — :class:`ServerCore`, the transport-agnostic
-  brain: routing (``/v2/batch``, ``/builds``, ``/sessions``, ``/stats``),
-  per-fingerprint request coalescing, admission control with honest 429 +
-  ``Retry-After`` backpressure, background index builds and streaming
-  sessions, all serialised onto one service thread;
-* :mod:`~repro.server.transport` — the stdlib transports (``asyncio`` codec
-  and ``ThreadingHTTPServer`` bridge) behind :func:`start_server`;
+* :mod:`~repro.server.core` — :class:`ServerCore`, the brain: routing
+  (``/v2/batch``, ``/builds``, ``/sessions``, ``/stats``), per-fingerprint
+  request coalescing, admission control with honest 429 + ``Retry-After``
+  backpressure, background index builds and streaming sessions, all
+  serialised onto one service thread, with every serving count kept once
+  in a per-core metrics registry that both ``/stats`` and ``/metrics`` read;
+* :mod:`~repro.server.transport` — the asyncio HTTP/1.1 codec behind
+  :func:`start_server`;
 * :mod:`~repro.server.loadgen` — the open/closed-loop load generator behind
   the registered ``service_latency`` experiment.
 
 ``python -m repro serve-http`` is the CLI entry point.
 """
 
-from .core import BATCH_SCHEMA_ID, STATS_SCHEMA_ID, ServerCore, aiohttp_available
+from .core import BATCH_SCHEMA_ID, STATS_SCHEMA_ID, TRANSPORT, ServerCore
 from .loadgen import LoadReport, get_json, post_json, run_load
-from .transport import TRANSPORTS, ServerHandle, detect_transport, start_server
+from .transport import ServerHandle, start_server
 
 __all__ = [
     "BATCH_SCHEMA_ID",
     "STATS_SCHEMA_ID",
+    "TRANSPORT",
     "ServerCore",
-    "aiohttp_available",
     "LoadReport",
     "get_json",
     "post_json",
     "run_load",
-    "TRANSPORTS",
     "ServerHandle",
-    "detect_transport",
     "start_server",
 ]

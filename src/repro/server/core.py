@@ -1,11 +1,21 @@
-"""Transport-agnostic request handling for the HTTP front-end.
+"""Request handling for the HTTP front-end.
 
 :class:`ServerCore` owns everything the network layer should not care
 about: routing, request coalescing, admission control, background index
-builds, streaming sessions and the timing counters behind ``/stats``.  Both
-transports (:mod:`repro.server.transport`) drive the same
-``await core.handle(method, path, body)`` coroutine, so transport choice
-changes socket mechanics only — never an answer.
+builds, streaming sessions and the counters behind ``/stats``.  The asyncio
+transport (:mod:`repro.server.transport`) only moves bytes into and out of
+``await core.handle(method, path, body)``.
+
+Counting
+--------
+Every serving count is one counter or histogram in the core's own
+:class:`~repro.obs.metrics.MetricsRegistry`.  :meth:`ServerCore.stats`
+reads those metric objects back, and :meth:`ServerCore.startup` registers
+the registry as a collector on the process registry, so ``/metrics``
+renders the same objects — the two surfaces cannot disagree.  Timing
+blocks count *observations* (one per request group per pass), not
+requests.  Only ``inflight`` / ``peak_inflight`` stay plain attributes:
+they are admission-control state, not counts.
 
 Concurrency model
 -----------------
@@ -42,7 +52,6 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import functools
-import importlib.util
 import itertools
 import json
 import time
@@ -55,11 +64,13 @@ import numpy as np
 from ..analysis.serialize import to_jsonable
 from ..core.native import kernel_status
 from ..obs.metrics import (
+    MetricsRegistry,
     exemplars_from_snapshot,
     gauge_fragment,
     get_registry,
     merge_snapshots,
     render_prometheus,
+    timing_summary,
 )
 from ..obs.alerts import AlertEmitter
 from ..obs.sampling import TraceSampler
@@ -86,14 +97,18 @@ from ..streaming import StreamingLCS, StreamingLIS
 __all__ = [
     "BATCH_SCHEMA_ID",
     "STATS_SCHEMA_ID",
+    "TRANSPORT",
     "ServerCore",
-    "aiohttp_available",
 ]
 
 BATCH_SCHEMA_ID = "repro.server.batch"
 STATS_SCHEMA_ID = "repro.server.stats"
 STATS_SCHEMA_VERSION = 1
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: The one network transport (an asyncio HTTP/1.1 codec); reported in
+#: ``/healthz``, ``/stats``, batch replies and the ``repro_build_info`` label.
+TRANSPORT = "asyncio"
 
 _HTTP_REQUESTS = get_registry().counter(
     "repro_http_requests_total", "HTTP requests by method, route and status",
@@ -102,30 +117,8 @@ _HTTP_REQUESTS = get_registry().counter(
 _HTTP_SECONDS = get_registry().histogram(
     "repro_http_request_seconds", "End-to-end HTTP request handling time", ("route",)
 )
-_QUEUE_WAIT_SECONDS = get_registry().histogram(
-    "repro_server_queue_wait_seconds",
-    "Time a batch request spent before its pass started",
-)
-_ANSWER_SECONDS = get_registry().histogram(
-    "repro_server_answer_seconds", "Vectorised pass time attributed to batch requests"
-)
-_REJECTIONS = get_registry().counter(
-    "repro_server_rejections_total", "Requests rejected by admission control", ("reason",)
-)
-_PASSES = get_registry().counter(
-    "repro_server_passes_total", "Vectorised passes run by the coalescer"
-)
-_MERGED_PASSES = get_registry().counter(
-    "repro_server_merged_passes_total", "Passes that served more than one contributor"
-)
-_COALESCED = get_registry().counter(
-    "repro_server_coalesced_requests_total", "Requests that joined an in-flight pass"
-)
-
-
-def aiohttp_available() -> bool:
-    """Whether the aiohttp transport could be used (recorded in artifacts)."""
-    return importlib.util.find_spec("aiohttp") is not None
+_REJECTION_REASONS = ("batch_too_large", "capacity")
+_BUILD_EVENTS = ("started", "done", "failed")
 
 
 def _swallow_future_error(future: "asyncio.Future") -> None:
@@ -161,31 +154,6 @@ class _JsonResponse:
     def __init__(self, status: int, payload: Any) -> None:
         self.status = int(status)
         self.payload = payload
-
-
-class _Timing:
-    """Streaming aggregate of one latency component (count / total / max)."""
-
-    __slots__ = ("count", "total", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def add(self, seconds: float, count: int = 1) -> None:
-        self.count += int(count)
-        self.total += float(seconds)
-        self.max = max(self.max, float(seconds))
-
-    def summary(self) -> Dict[str, float]:
-        mean = self.total / self.count if self.count else 0.0
-        return {
-            "count": self.count,
-            "total_seconds": self.total,
-            "mean_seconds": mean,
-            "max_seconds": self.max,
-        }
 
 
 class _PendingPass:
@@ -226,7 +194,6 @@ class ServerCore:
         coalesce_seconds: float = 0.002,
         retry_after_seconds: float = 1.0,
         default_seed: Optional[int] = None,
-        transport: str = "asyncio",
         trace_capacity: int = 128,
         sampler: Optional[TraceSampler] = None,
         slo_engine: Optional[SLOEngine] = None,
@@ -253,7 +220,6 @@ class ServerCore:
         self.coalesce_seconds = float(coalesce_seconds)
         self.retry_after_seconds = float(retry_after_seconds)
         self.default_seed = default_seed
-        self.transport = transport
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._service_lock: Optional[asyncio.Semaphore] = None
@@ -294,29 +260,89 @@ class ServerCore:
 
         self.inflight = 0
         self.peak_inflight = 0
-        self.requests_received = 0
-        self.requests_answered = 0
-        self.requests_rejected = 0
-        self.requests_failed = 0
-        self.parse_errors = 0
-        self.passes = 0
-        self.merged_passes = 0
-        self.coalesced_requests = 0
-        self.failed_passes = 0
-        self.builds_started = 0
-        self.builds_done = 0
-        self.builds_failed = 0
-        self.internal_errors = 0
-        self.deadline_expired = 0
-        self.degraded_answers = 0
-        self.queue_wait = _Timing()
-        self.answer_timing = _Timing()
-        self.build_wait = _Timing()
+        # Every count below is read back by stats() and rendered by /metrics
+        # (startup() registers this registry on the process registry).
+        self.registry = MetricsRegistry()
+        counter, histogram = self.registry.counter, self.registry.histogram
+        self._received = counter(
+            "repro_server_requests_received_total", "Batch requests received"
+        )
+        self._answered = counter(
+            "repro_server_requests_answered_total", "Batch requests answered ok"
+        )
+        self._failed = counter(
+            "repro_server_requests_failed_total",
+            "Batch requests answered with a per-request error",
+        )
+        self._rejections = counter(
+            "repro_server_rejections_total",
+            "Requests rejected by admission control",
+            ("reason",),
+        )
+        self._parse_errors = counter(
+            "repro_server_parse_errors_total", "Batch entries that failed to parse"
+        )
+        self._deadline_expired = counter(
+            "repro_server_deadline_expired_total",
+            "Batch requests whose deadline expired before their answer",
+        )
+        self._degraded = counter(
+            "repro_server_degraded_answers_total",
+            "Answers served by a degraded fallback",
+        )
+        self._passes = counter(
+            "repro_server_passes_total", "Vectorised passes run by the coalescer"
+        )
+        self._merged_passes = counter(
+            "repro_server_merged_passes_total",
+            "Passes that served more than one contributor",
+        )
+        self._coalesced = counter(
+            "repro_server_coalesced_requests_total",
+            "Requests that joined an in-flight pass",
+        )
+        self._failed_passes = counter(
+            "repro_server_failed_passes_total", "Vectorised passes that raised"
+        )
+        self._build_events = counter(
+            "repro_server_builds_total",
+            "Background index builds by lifecycle event",
+            ("event",),
+        )
+        self._internal_errors = counter(
+            "repro_server_internal_errors_total",
+            "Unexpected errors answered with 500 (or swallowed by the SLO loop)",
+        )
+        self._queue_wait = histogram(
+            "repro_server_queue_wait_seconds",
+            "Time a batch request group spent before its pass started",
+        )
+        self._answer_seconds = histogram(
+            "repro_server_answer_seconds",
+            "Vectorised pass time, observed once per request group",
+        )
+        self._build_wait = histogram(
+            "repro_server_build_wait_seconds",
+            "Time a background build waited for a service slot",
+        )
+        # Zero samples, so every count renders on /metrics from the start.
+        for metric in (
+            self._received, self._answered, self._failed, self._parse_errors,
+            self._deadline_expired, self._degraded, self._passes,
+            self._merged_passes, self._coalesced, self._failed_passes,
+            self._internal_errors,
+        ):
+            metric.inc(0)
+        for reason in _REJECTION_REASONS:
+            self._rejections.inc(0, reason=reason)
+        for event in _BUILD_EVENTS:
+            self._build_events.inc(0, event=event)
 
     # ---------------------------------------------------------------- lifecycle
     async def startup(self) -> None:
         """Bind to the running event loop (call once, from that loop)."""
         self._loop = asyncio.get_running_loop()
+        get_registry().register_collector(self.registry.snapshot)
         # Semaphore width == how many service calls run at once.  Width 1
         # (plain QueryService) is the historical lock discipline; a shard
         # router widens it to its shard count so per-shard passes overlap.
@@ -344,9 +370,10 @@ class ServerCore:
             try:
                 await self._in_service_thread(self._evaluate_slo)
             except Exception:  # noqa: BLE001 — the eval loop must survive
-                self.internal_errors += 1
+                self._internal_errors.inc()
 
     async def shutdown(self) -> None:
+        get_registry().unregister_collector(self.registry.snapshot)
         for task in list(self._tasks):
             task.cancel()
         close = getattr(self.service, "close", None)
@@ -415,7 +442,7 @@ class ServerCore:
         in the extra headers (``/metrics`` returns Prometheus text).
         ``headers`` carries the request headers the core reads
         (``X-Repro-Deadline-Ms``); ``None`` means "no budget header", so
-        direct callers and old transports keep working unchanged.
+        direct callers keep working unchanged.
         """
         started = time.perf_counter()
         path, _, raw_query = path.partition("?")
@@ -481,7 +508,7 @@ class ServerCore:
         except ServiceRequestError as exc:
             return 400, {}, self._encode({"error": str(exc), "status": 400})
         except Exception as exc:  # noqa: BLE001 — the server must stay up
-            self.internal_errors += 1
+            self._internal_errors.inc()
             return 500, {}, self._encode(
                 {"error": f"internal error: {type(exc).__name__}: {exc}", "status": 500}
             )
@@ -511,10 +538,9 @@ class ServerCore:
 
                 return {
                     "status": "ok",
-                    "transport": self.transport,
+                    "transport": TRANSPORT,
                     "version": __version__,
                     "uptime_seconds": time.perf_counter() - self._started,
-                    "aiohttp_available": aiohttp_available(),
                 }
             if path == "/stats":
                 return self.stats()
@@ -566,8 +592,8 @@ class ServerCore:
     def metrics_snapshot(self) -> Dict[str, Any]:
         """The merged metrics snapshot every observability surface reads.
 
-        Merges this process's registry (which includes the shard router's
-        per-shard collector when sharded), the shard-stamped worker-process
+        Merges this process's registry (which collects this core's own
+        registry and, when sharded, the shard router's), the shard-stamped worker-process
         snapshots shipped over the router pipes, and point-in-time fragments
         (uptime, build info).  ``/metrics``, ``/debug/exemplars`` and
         ``/debug/slo`` all derive from this one snapshot, so they reconcile
@@ -591,7 +617,7 @@ class ServerCore:
                 "repro_build_info",
                 1,
                 "Constant 1; the labels carry version and transport",
-                labels={"version": __version__, "transport": self.transport},
+                labels={"version": __version__, "transport": TRANSPORT},
             )
         )
         return merge_snapshots(*parts)
@@ -678,9 +704,9 @@ class ServerCore:
         defaults, parsed, errors = parse_requests_lenient(
             document, default_seed=self.default_seed
         )
-        self.parse_errors += len(errors)
+        self._parse_errors.inc(len(errors))
         total = len(parsed) + len(errors)
-        self.requests_received += total
+        self._received.inc(total)
 
         slots: List[Optional[Dict[str, Any]]] = [None] * total
         for err in errors:
@@ -693,16 +719,14 @@ class ServerCore:
         if parsed:
             n = len(parsed)
             if n > self.max_inflight:
-                self.requests_rejected += total
-                _REJECTIONS.inc(total, reason="batch_too_large")
+                self._rejections.inc(total, reason="batch_too_large")
                 raise _HttpError(
                     400,
                     f"batch of {n} requests exceeds --max-inflight={self.max_inflight}; "
                     f"split the batch",
                 )
             if self.inflight + n > self.max_inflight:
-                self.requests_rejected += total
-                _REJECTIONS.inc(total, reason="capacity")
+                self._rejections.inc(total, reason="capacity")
                 raise _HttpError(
                     429,
                     f"server at capacity ({self.inflight}/{self.max_inflight} "
@@ -734,8 +758,8 @@ class ServerCore:
                 self.inflight -= n
 
         ok = sum(1 for entry in slots if entry is not None and entry.get("status") == "ok")
-        self.requests_answered += ok
-        self.requests_failed += total - ok
+        self._answered.inc(ok)
+        self._failed.inc(total - ok)
         expired = sum(
             1 for entry in slots if entry is not None and entry.get("deadline_exceeded")
         )
@@ -745,7 +769,7 @@ class ServerCore:
         response = {
             "schema": BATCH_SCHEMA_ID,
             "version": 1,
-            "transport": self.transport,
+            "transport": TRANSPORT,
             "trace_id": current_trace_id(),
             "defaults": dict(defaults),
             "results": slots,
@@ -783,8 +807,7 @@ class ServerCore:
                 if pending is not None and not pending.sealed:
                     offset = pending.add(requests)
                     joined = True
-                    self.coalesced_requests += len(requests)
-                    _COALESCED.inc(len(requests))
+                    self._coalesced.inc(len(requests))
                     span_event(
                         "coalesce_merge", offset=offset, requests=len(requests)
                     )
@@ -823,7 +846,7 @@ class ServerCore:
                 if isinstance(exc, asyncio.TimeoutError):
                     note_expiry("edge", requests=len(members))
                 pending.future.add_done_callback(_swallow_future_error)
-                self.deadline_expired += len(members)
+                self._deadline_expired.inc(len(members))
                 message = (
                     f"deadline exceeded ({deadline.describe()})"
                     if deadline is not None
@@ -848,17 +871,15 @@ class ServerCore:
                     for idx, request in members
                 ]
         queue_seconds = pass_started - received
-        self.queue_wait.add(queue_seconds, len(requests))
-        self.answer_timing.add(pass_seconds, len(requests))
-        _QUEUE_WAIT_SECONDS.observe(queue_seconds)
-        _ANSWER_SECONDS.observe(pass_seconds)
+        self._queue_wait.observe(queue_seconds)
+        self._answer_seconds.observe(pass_seconds)
         entries: List[Tuple[int, Dict[str, Any]]] = []
         with span("answer", requests=len(members)):
             for slot, (idx, request) in enumerate(members):
                 outcome = batch.outcomes[offset + slot]
                 degraded = bool(getattr(outcome, "degraded", False))
                 if degraded:
-                    self.degraded_answers += 1
+                    self._degraded.inc()
                 entries.append(
                     (
                         idx,
@@ -899,15 +920,13 @@ class ServerCore:
                         self.service.submit, list(pending.requests)
                     )
                 except Exception as exc:  # noqa: BLE001
-                    self.failed_passes += 1
+                    self._failed_passes.inc()
                     if not pending.future.done():
                         pending.future.set_exception(exc)
                     return
-                self.passes += 1
-                _PASSES.inc()
+                self._passes.inc()
                 if pending.contributions > 1:
-                    self.merged_passes += 1
-                    _MERGED_PASSES.inc()
+                    self._merged_passes.inc()
                     span_event(
                         "coalesce_merged_pass",
                         contributors=pending.contributions,
@@ -957,7 +976,7 @@ class ServerCore:
             "queued_at_seconds": time.perf_counter() - self._started,
         }
         self._builds[token] = record
-        self.builds_started += 1
+        self._build_events.inc(event="started")
         self._spawn(self._run_build(token, target, kind, strict))
         return {"token": token, "status": "queued", "poll": f"/builds/{token}"}
 
@@ -969,7 +988,7 @@ class ServerCore:
         async with self._service_lock:
             record["status"] = "running"
             started = time.perf_counter()
-            self.build_wait.add(started - queued)
+            self._build_wait.observe(started - queued)
             try:
                 index, was_cached = await self._in_service_thread(
                     self.service.ensure_index, target, kind, strict=strict
@@ -978,14 +997,14 @@ class ServerCore:
                 record["status"] = "failed"
                 record["error"] = f"{type(exc).__name__}: {exc}"
                 record["seconds"] = time.perf_counter() - started
-                self.builds_failed += 1
+                self._build_events.inc(event="failed")
                 return
             record["status"] = "done"
             record["fingerprint"] = index.fingerprint
             record["kind"] = index.kind
             record["cache_hit"] = was_cached
             record["seconds"] = time.perf_counter() - started
-            self.builds_done += 1
+            self._build_events.inc(event="done")
 
     def _get_build(self, token: str) -> Dict[str, Any]:
         record = self._builds.get(token)
@@ -1105,13 +1124,13 @@ class ServerCore:
 
     # ------------------------------------------------------------------- stats
     def stats(self) -> Dict[str, Any]:
-        """The ``/stats`` document: honest queue depths and timing aggregates."""
+        """The ``/stats`` document, read from the metrics ``/metrics`` renders."""
+        builds = {event: self._build_events.value(event=event) for event in _BUILD_EVENTS}
         return {
             "schema": STATS_SCHEMA_ID,
             "version": STATS_SCHEMA_VERSION,
             "stats_schema": f"{STATS_SCHEMA_ID}.v{STATS_SCHEMA_VERSION}",
-            "transport": self.transport,
-            "aiohttp_available": aiohttp_available(),
+            "transport": TRANSPORT,
             "uptime_seconds": time.perf_counter() - self._started,
             "max_inflight": self.max_inflight,
             "service_concurrency": self.service_concurrency,
@@ -1119,16 +1138,18 @@ class ServerCore:
             "peak_inflight": self.peak_inflight,
             "coalesce_seconds": self.coalesce_seconds,
             "build_queue_limit": self.build_queue_limit,
-            "internal_errors": self.internal_errors,
+            "internal_errors": self._internal_errors.value(),
             "native_kernel": int(get_registry().gauge("repro_native_kernel").value()),
             "requests": {
-                "received": self.requests_received,
-                "answered": self.requests_answered,
-                "rejected": self.requests_rejected,
-                "failed": self.requests_failed,
-                "parse_errors": self.parse_errors,
-                "deadline_expired": self.deadline_expired,
-                "degraded": self.degraded_answers,
+                "received": self._received.value(),
+                "answered": self._answered.value(),
+                "rejected": sum(
+                    self._rejections.value(reason=reason) for reason in _REJECTION_REASONS
+                ),
+                "failed": self._failed.value(),
+                "parse_errors": self._parse_errors.value(),
+                "deadline_expired": self._deadline_expired.value(),
+                "degraded": self._degraded.value(),
             },
             "resilience": {
                 "default_deadline_ms": self.default_deadline_ms,
@@ -1140,16 +1161,14 @@ class ServerCore:
                 "slo_history_path": self.slo.history_path,
             },
             "coalescing": {
-                "passes": self.passes,
-                "merged_passes": self.merged_passes,
-                "coalesced_requests": self.coalesced_requests,
-                "failed_passes": self.failed_passes,
+                "passes": self._passes.value(),
+                "merged_passes": self._merged_passes.value(),
+                "coalesced_requests": self._coalesced.value(),
+                "failed_passes": self._failed_passes.value(),
                 "inflight_fingerprints": len(self._pending),
             },
             "builds": {
-                "started": self.builds_started,
-                "done": self.builds_done,
-                "failed": self.builds_failed,
+                **builds,
                 "queued": sum(
                     1
                     for rec in self._builds.values()
@@ -1163,9 +1182,9 @@ class ServerCore:
             "tracing": self.tracer.stats(),
             "slo": self.slo.totals_summary(self.metrics_snapshot()),
             "timings": {
-                "queue_wait": self.queue_wait.summary(),
-                "answer": self.answer_timing.summary(),
-                "build_wait": self.build_wait.summary(),
+                "queue_wait": timing_summary(self._queue_wait),
+                "answer": timing_summary(self._answer_seconds),
+                "build_wait": timing_summary(self._build_wait),
             },
             "service": self.service.stats(),
         }

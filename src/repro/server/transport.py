@@ -1,21 +1,10 @@
-"""Network transports for the HTTP front-end.
+"""The network transport of the HTTP front-end.
 
-Two stdlib transports drive the same :class:`~repro.server.core.ServerCore`:
-
-``asyncio`` (default)
-    ``asyncio.start_server`` with a minimal HTTP/1.1 codec, run on a
-    dedicated event-loop thread so :func:`start_server` works from
-    synchronous callers (tests, the CLI, the load generator).
-``thread``
-    ``http.server.ThreadingHTTPServer`` whose handler threads bridge each
-    request into the core's event loop with
-    ``asyncio.run_coroutine_threadsafe`` — the fallback shape for
-    environments where the asyncio codec is undesirable.
-
-aiohttp would be the preferred transport but is not installed in this
-environment; :func:`detect_transport` records that fact so artifacts stay
-honest about what actually served the traffic
-(:func:`repro.server.core.aiohttp_available`).
+``asyncio.start_server`` with a minimal HTTP/1.1 codec (one exchange per
+connection), run on a dedicated event-loop thread so :func:`start_server`
+works from synchronous callers (tests, the CLI, the load generator).  Every
+request goes through :meth:`~repro.server.core.ServerCore.handle`; this
+module only moves bytes.
 """
 
 from __future__ import annotations
@@ -23,30 +12,13 @@ from __future__ import annotations
 import asyncio
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 
 from .core import ServerCore
 
-__all__ = ["TRANSPORTS", "ServerHandle", "detect_transport", "start_server"]
-
-#: The transports this build can actually serve with (stdlib only).
-TRANSPORTS = ("asyncio", "thread")
+__all__ = ["ServerHandle", "start_server"]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
-
-
-def detect_transport(requested: Optional[str] = None) -> str:
-    """Resolve a transport name (``None``/``'auto'`` → best available)."""
-    if requested in (None, "auto"):
-        # aiohttp, were it installed, would win here; the stdlib asyncio
-        # codec is the best always-available option.
-        return "asyncio"
-    if requested not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {requested!r}; expected one of {TRANSPORTS + ('auto',)}"
-        )
-    return requested
 
 
 @dataclass
@@ -56,7 +28,6 @@ class ServerHandle:
     core: ServerCore
     host: str
     port: int
-    transport: str
     _stop: Callable[[], None] = field(repr=False, default=lambda: None)
 
     @property
@@ -165,66 +136,11 @@ def _start_asyncio(core: ServerCore, host: str, port: int):
     return bound["port"], stop
 
 
-def _start_thread(core: ServerCore, host: str, port: int):
-    """ThreadingHTTPServer whose handlers bridge into the core's event loop."""
-    loop = asyncio.new_event_loop()
-    loop_thread = threading.Thread(target=loop.run_forever, daemon=True)
-    loop_thread.start()
-    asyncio.run_coroutine_threadsafe(core.startup(), loop).result(timeout=30)
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def _dispatch(self) -> None:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            if length > _MAX_BODY_BYTES:
-                self.send_error(413)
-                return
-            body = self.rfile.read(length) if length else b""
-            request_headers = {
-                name.lower(): value for name, value in self.headers.items()
-            }
-            status, extra_headers, payload = asyncio.run_coroutine_threadsafe(
-                core.handle(self.command, self.path, body, headers=request_headers),
-                loop,
-            ).result(timeout=300)
-            self.send_response(status)
-            content_type = extra_headers.pop("Content-Type", "application/json")
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            for name, value in extra_headers.items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(payload)
-
-        do_GET = do_POST = do_DELETE = _dispatch
-
-        def log_message(self, *args) -> None:  # noqa: D102 — keep stdio clean
-            pass
-
-    httpd = ThreadingHTTPServer((host, port), Handler)
-    httpd.daemon_threads = True
-    serve_thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    serve_thread.start()
-
-    def stop() -> None:
-        httpd.shutdown()
-        httpd.server_close()
-        serve_thread.join(timeout=10)
-        asyncio.run_coroutine_threadsafe(core.shutdown(), loop).result(timeout=10)
-        loop.call_soon_threadsafe(loop.stop)
-        loop_thread.join(timeout=10)
-        loop.close()
-
-    return httpd.server_address[1], stop
-
-
 def start_server(
     service: Optional[Any] = None,
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    transport: Optional[str] = None,
     max_inflight: int = 64,
     build_queue_limit: int = 8,
     coalesce_seconds: float = 0.002,
@@ -250,9 +166,8 @@ def start_server(
     page/ticket emission.
 
     The caller owns the handle: ``handle.stop()`` tears the transport and the
-    core down (idempotent teardown is the transports' problem, not yours).
+    core down.
     """
-    resolved = detect_transport(transport)
     core = ServerCore(
         service,
         max_inflight=max_inflight,
@@ -260,7 +175,6 @@ def start_server(
         coalesce_seconds=coalesce_seconds,
         retry_after_seconds=retry_after_seconds,
         default_seed=default_seed,
-        transport=resolved,
         trace_capacity=trace_capacity,
         sampler=sampler,
         slo_engine=slo_engine,
@@ -268,8 +182,5 @@ def start_server(
         alert_emitter=alert_emitter,
         slo_eval_seconds=slo_eval_seconds,
     )
-    if resolved == "asyncio":
-        bound_port, stop = _start_asyncio(core, host, port)
-    else:
-        bound_port, stop = _start_thread(core, host, port)
-    return ServerHandle(core=core, host=host, port=bound_port, transport=resolved, _stop=stop)
+    bound_port, stop = _start_asyncio(core, host, port)
+    return ServerHandle(core=core, host=host, port=bound_port, _stop=stop)

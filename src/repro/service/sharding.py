@@ -41,11 +41,15 @@ process**, never per request — and reuse the engine-layer conventions of
 builds inside a worker automatically run their execution backend inline,
 so shard workers never spawn nested pools.
 
-Observability: :meth:`ShardRouter.stats` reports per-shard service/cache
-stats plus router-level counters — requests routed per shard, load
-imbalance (max/mean), worker restarts, bounded retries, and the
-queue-wait vs shard-execution timing split that makes imbalance diagnosable
-from ``/stats`` alone.
+Observability: every router count — requests and sub-batches routed per
+shard, worker restarts and hangs, bounded retries, degraded requests, the
+breaker-state gauge, and the queue-wait vs shard-execution timing split —
+is one counter, gauge or histogram in the router's own
+:class:`~repro.obs.metrics.MetricsRegistry`.  :meth:`ShardRouter.stats`
+reads those objects back (plus per-shard service/cache stats and the load
+imbalance, max/mean), and the registry is registered as a collector on the
+process registry until :meth:`ShardRouter.close`, so ``/metrics`` renders
+the same counts ``/stats`` reports.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..core.native import kernel_status
 from ..core.plan import MultiplyPlan, resolve_plan
 from ..mpc.engine import fork_context, in_daemonic_process
-from ..obs.metrics import get_registry, relabel_snapshot
+from ..obs.metrics import MetricsRegistry, get_registry, relabel_snapshot, timing_summary
 from ..obs.trace import span, span_event
 from ..resilience.breaker import BREAKER_STATE_CODES, BreakerConfig, CircuitBreaker
 from ..resilience.deadline import DeadlineExceeded, current_deadline, note_expiry
@@ -344,10 +348,6 @@ class _WorkerBase:
         #: Serialises calls onto this worker's pipe/service (one in-flight
         #: command per worker; the router's timing split measures the wait).
         self.lock = threading.Lock()
-        self.requests_routed = 0
-        self.sub_batches = 0
-        self.restarts = 0
-        self.hangs = 0
         self.spill_dir: Optional[str] = None
         #: Every spill directory a worker of this shard has used: a killed
         #: worker never runs its own cleanup, so restart and close sweep them.
@@ -461,7 +461,6 @@ class _ProcessWorker(_WorkerBase):
         while self._stale > 0:
             now = time.monotonic()
             if hang_at is not None and now >= hang_at:
-                self.hangs += 1
                 self._kill()
                 raise ShardWorkerHang(
                     f"shard {self.shard_id} worker never delivered an abandoned "
@@ -485,7 +484,6 @@ class _ProcessWorker(_WorkerBase):
             step = _POLL_STEP
             if hang_at is not None:
                 if now >= hang_at:
-                    self.hangs += 1
                     self._kill()
                     raise ShardWorkerHang(
                         f"shard {self.shard_id} worker unresponsive on {cmd!r}; killed"
@@ -521,7 +519,6 @@ class _ProcessWorker(_WorkerBase):
         # The dead worker's spill files may be half-written: clear them
         # before its successor starts.
         self._cleanup_spill()
-        self.restarts += 1
         self._spawn()
 
     def stop(self) -> None:
@@ -580,36 +577,11 @@ class _InlineWorker(_WorkerBase):
         return _execute_command(self._service, self.shard_id, self.spill_dir, cmd, payload)
 
     def restart(self) -> None:  # pragma: no cover - inline workers cannot crash
-        self.restarts += 1
         self._service, spill_dir = _build_worker_service(self.config, self.shard_id)
         self._own_spill(spill_dir)
 
     def stop(self) -> None:
         self._cleanup_spill()
-
-
-class _Aggregate:
-    """Streaming (count / total / max) aggregate of one timing component."""
-
-    __slots__ = ("count", "total", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def add(self, seconds: float, count: int = 1) -> None:
-        self.count += int(count)
-        self.total += float(seconds)
-        self.max = max(self.max, float(seconds))
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "total_seconds": self.total,
-            "mean_seconds": self.total / self.count if self.count else 0.0,
-            "max_seconds": self.max,
-        }
 
 
 class ShardRouter:
@@ -651,7 +623,7 @@ class ShardRouter:
     breaker:
         :class:`~repro.resilience.breaker.BreakerConfig` shared by every
         shard's circuit breaker.  An open shard serves from the router's
-        inline degraded fallback (outcomes flagged ``degraded=True``).
+        in-process fallback worker (outcomes flagged ``degraded=True``).
     worker_timeout:
         Liveness budget (seconds) for one worker pipe wait; a worker
         silent past it is killed and restarted like a crashed one.
@@ -720,39 +692,72 @@ class ShardRouter:
             max_workers=self.shards, thread_name_prefix="repro-shard-router"
         )
         self._fingerprints: Dict[Tuple[TargetSpec, str, bool], str] = {}
-        self._metrics_lock = threading.Lock()
-        self.queue_wait = _Aggregate()
-        self.shard_exec = _Aggregate()
-        self.batches_routed = 0
-        self.requests_routed = 0
-        self.retries = 0
-        self.degraded_requests = 0
         self.closed = False
         #: Deterministic jitter source + injectable sleep (tests stub both).
         self._rng = random.Random(0x5EED ^ self.shards)
         self._sleep = time.sleep
-        self._fallback_lock = threading.Lock()
-        self._fallback_service: Optional[QueryService] = None
-        registry = get_registry()
-        self._pipe_seconds = registry.histogram(
-            "repro_shard_pipe_seconds",
-            "Router-side round-trip of one worker command (pipe + execution)",
-            ("cmd",),
+        #: In-process worker behind degraded answers, built on first use.
+        self._fallback: Optional[_InlineWorker] = None
+        # Every router count lives in this registry: stats() reads it back
+        # and /metrics renders it through the collector registered below.
+        self.registry = MetricsRegistry()
+        counter = self.registry.counter
+        self._batches = counter("repro_router_batches_total", "Batches routed")
+        self._requests = counter(
+            "repro_router_requests_total", "Requests in the batches routed"
         )
-        self._retries_metric = registry.counter(
+        self._retries = counter(
             "repro_shard_retries_total", "Sub-batches retried after a worker crash"
         )
-        self._breaker_transitions = registry.counter(
+        self._shard_requests = counter(
+            "repro_shard_requests_total",
+            "Requests routed to each shard (router-side count)",
+            ("shard",),
+        )
+        self._shard_sub_batches = counter(
+            "repro_shard_sub_batches_total", "Sub-batches dispatched to each shard", ("shard",)
+        )
+        self._restarts = counter(
+            "repro_shard_restarts_total", "Worker restarts after a crash, per shard", ("shard",)
+        )
+        self._hangs = counter(
+            "repro_shard_hangs_total", "Hung workers detected (and killed), per shard", ("shard",)
+        )
+        self._degraded = counter(
+            "repro_degraded_requests_total",
+            "Requests served by the in-process degraded fallback (breaker open / "
+            "retries exhausted)",
+            ("shard",),
+        )
+        self._breaker_transitions = counter(
             "repro_breaker_transitions_total",
             "Circuit breaker state transitions per shard",
             ("shard", "from", "to"),
         )
-        self._degraded_metric = registry.counter(
-            "repro_degraded_requests_total",
-            "Requests served by the inline degraded fallback (breaker open / "
-            "retries exhausted)",
+        self._breaker_state = self.registry.gauge(
+            "repro_breaker_state",
+            "Per-shard breaker state (0=closed, 1=half_open, 2=open)",
             ("shard",),
         )
+        self._pipe_seconds = self.registry.histogram(
+            "repro_shard_pipe_seconds",
+            "Router-side round-trip of one worker command (pipe + execution)",
+            ("cmd",),
+        )
+        self._queue_wait = self.registry.histogram(
+            "repro_shard_queue_wait_seconds",
+            "Router-side wait for a shard worker before a submit or ensure",
+        )
+        self._batches.inc(0)
+        self._requests.inc(0)
+        self._retries.inc(0)
+        for shard in range(self.shards):
+            for metric in (
+                self._shard_requests, self._shard_sub_batches, self._restarts,
+                self._hangs, self._degraded,
+            ):
+                metric.inc(0, shard=str(shard))
+            self._breaker_state.set(BREAKER_STATE_CODES["closed"], shard=str(shard))
         self._breakers = [
             CircuitBreaker(
                 self.breaker_config,
@@ -761,11 +766,7 @@ class ShardRouter:
             )
             for shard in range(self.shards)
         ]
-        # Per-shard routing counters are *collected* from the same
-        # worker.requests_routed the /stats document reports, so the two
-        # surfaces reconcile exactly instead of drifting in parallel counts.
-        self._collector = self._collect_shard_series
-        registry.register_collector(self._collector)
+        get_registry().register_collector(self.registry.snapshot)
 
     # ------------------------------------------------------------- lifecycle
     @property
@@ -802,7 +803,7 @@ class ShardRouter:
         if self.closed:
             return
         self.closed = True
-        get_registry().unregister_collector(self._collector)
+        get_registry().unregister_collector(self.registry.snapshot)
         self._pool.shutdown(wait=True)
         for worker in self._workers:
             with worker.lock:
@@ -845,6 +846,7 @@ class ShardRouter:
 
     def _note_breaker_transition(self, name: str, old: str, new: str) -> None:
         self._breaker_transitions.inc(shard=name, **{"from": old, "to": new})
+        self._breaker_state.set(BREAKER_STATE_CODES[new], shard=name)
         span_event("breaker_transition", shard=name, old_state=old, new_state=new)
 
     def _call(
@@ -863,8 +865,13 @@ class ShardRouter:
         Crashes retry up to ``retry_limit`` times, each retry paced by the
         decorrelated-jitter :class:`RetryPolicy` and paid for from the
         shared :class:`RetryBudget`; when ``breaker`` is given, every
-        attempt's outcome feeds the shard's circuit breaker.
+        attempt's outcome feeds the shard's circuit breaker.  A closed
+        router refuses every command: restarting its stopped workers would
+        leave processes nothing ever stops.
         """
+        if self.closed:
+            raise RuntimeError("ShardRouter is closed")
+        shard = str(shard_id)
         worker = self._workers[shard_id]
         deadline = current_deadline()
         waited_from = time.perf_counter()
@@ -897,6 +904,7 @@ class ShardRouter:
                     if breaker is not None:
                         breaker.record_failure()
                     if isinstance(crash, ShardWorkerHang):
+                        self._hangs.inc(shard=shard)
                         span_event(
                             "shard_hang", shard=shard_id, cmd=cmd, attempt=attempt
                         )
@@ -904,6 +912,7 @@ class ShardRouter:
                         "shard_restart", shard=shard_id, attempt=attempt - 1, cmd=cmd
                     )
                     worker.restart()
+                    self._restarts.inc(shard=shard)
                     if attempt > self.retry_limit:
                         break
                     if not self.retry_budget.try_spend():
@@ -921,9 +930,7 @@ class ShardRouter:
                                 stage="router",
                             )
                         delay = min(delay, remaining)
-                    with self._metrics_lock:
-                        self.retries += 1
-                    self._retries_metric.inc()
+                    self._retries.inc()
                     span_event(
                         "shard_retry",
                         shard=shard_id,
@@ -955,13 +962,9 @@ class ShardRouter:
                     # The timing split covers request-bearing work only
                     # (submit / ensure), not stats polls — otherwise every
                     # /stats scrape would dilute the means it reports.
-                    worker.requests_routed += request_count
-                    worker.sub_batches += 1
-                    with self._metrics_lock:
-                        self.queue_wait.add(waited, request_count)
-                        self.shard_exec.add(
-                            time.perf_counter() - executing_from, request_count
-                        )
+                    self._shard_requests.inc(request_count, shard=shard)
+                    self._shard_sub_batches.inc(shard=shard)
+                    self._queue_wait.observe(waited)
                 return result
         raise ShardRetriesExhausted(
             f"shard {shard_id} worker crashed {attempt} times on one "
@@ -1059,9 +1062,8 @@ class ShardRouter:
                 outcomes[position] = outcome
             built += sub_built
             reused += sub_reused
-        with self._metrics_lock:
-            self.batches_routed += 1
-            self.requests_routed += len(requests)
+        self._batches.inc()
+        self._requests.inc(len(requests))
         return ServiceBatchResult(
             outcomes=[outcome for outcome in outcomes if outcome is not None],
             seconds=time.perf_counter() - started,
@@ -1070,35 +1072,30 @@ class ShardRouter:
         )
 
     def _serve_degraded(self, shard_id: int, sub_requests: List[QueryRequest]):
-        """Answer one shard's sub-batch from the router-local fallback.
+        """Answer one shard's sub-batch from the router's in-process fallback.
 
         Used while the shard's breaker is open: the requests are served by a
-        lazily built in-process :class:`QueryService` (no spill directory, no
-        fault plan — the fallback must stay boring) and every outcome is
-        flagged ``degraded=True`` so callers can tell a possibly-stale answer
-        from a worker-fresh one.  Returns the same ``(outcomes, built,
-        reused)`` tuple the worker's ``submit`` command produces.
+        lazily created :class:`_InlineWorker` (no spill directory, no fault
+        plan — the fallback must stay boring) and every outcome is flagged
+        ``degraded=True`` so callers can tell a possibly-stale answer from a
+        worker-fresh one.  Returns the same ``(outcomes, built, reused)``
+        tuple the worker's ``submit`` command produces.
         """
-        service = self._fallback_service
-        if service is None:
-            with self._fallback_lock:
-                service = self._fallback_service
-                if service is None:
-                    fallback_config = replace(
-                        self.config, spill_root=None, fault_plan=None
-                    )
-                    service, _ = _build_worker_service(fallback_config, -1)
-                    self._fallback_service = service
+        fallback = self._fallback
+        if fallback is None:
+            # Two shards degrading at once may both build one; the loser is
+            # dropped after answering its sub-batch, which costs only a cache.
+            fallback = self._fallback = _InlineWorker(
+                -1, replace(self.config, spill_root=None, fault_plan=None)
+            )
         with span("degraded", shard=shard_id, requests=len(sub_requests)):
-            result = service.submit(sub_requests)
-        outcomes = [replace(outcome, degraded=True) for outcome in result.outcomes]
-        with self._metrics_lock:
-            self.degraded_requests += len(sub_requests)
-        self._degraded_metric.inc(len(sub_requests), shard=str(shard_id))
+            with fallback.lock:
+                outcomes, built, reused = fallback.call("submit", sub_requests)
+        self._degraded.inc(len(sub_requests), shard=str(shard_id))
         span_event(
             "degraded_serve", shard=shard_id, requests=len(sub_requests)
         )
-        return outcomes, result.indexes_built, result.indexes_reused
+        return [replace(outcome, degraded=True) for outcome in outcomes], built, reused
 
     # --------------------------------------------------------------- warm-up
     def ensure_index(
@@ -1160,40 +1157,6 @@ class ShardRouter:
         }
 
     # --------------------------------------------------------------- metrics
-    def _collect_shard_series(self) -> Dict[str, Any]:
-        """Per-shard router counters as a snapshot fragment (see __init__)."""
-        requests = {"type": "counter",
-                    "help": "Requests routed to each shard (router-side count)",
-                    "samples": []}
-        sub_batches = {"type": "counter",
-                       "help": "Sub-batches dispatched to each shard",
-                       "samples": []}
-        restarts = {"type": "counter",
-                    "help": "Worker restarts after a crash, per shard",
-                    "samples": []}
-        hangs = {"type": "counter",
-                 "help": "Hung workers detected (and killed), per shard",
-                 "samples": []}
-        breaker_state = {"type": "gauge",
-                         "help": "Per-shard breaker state (0=closed, 1=half_open, 2=open)",
-                         "samples": []}
-        for worker in self._workers:
-            labels = [["shard", str(worker.shard_id)]]
-            requests["samples"].append([labels, worker.requests_routed])
-            sub_batches["samples"].append([labels, worker.sub_batches])
-            restarts["samples"].append([labels, worker.restarts])
-            hangs["samples"].append([labels, worker.hangs])
-            breaker_state["samples"].append(
-                [labels, BREAKER_STATE_CODES[self._breakers[worker.shard_id].state]]
-            )
-        return {
-            "repro_shard_requests_total": requests,
-            "repro_shard_sub_batches_total": sub_batches,
-            "repro_shard_restarts_total": restarts,
-            "repro_shard_hangs_total": hangs,
-            "repro_breaker_state": breaker_state,
-        }
-
     def extra_metric_snapshots(self) -> List[Dict[str, Any]]:
         """Shard-stamped registry snapshots fetched from each worker process.
 
@@ -1228,13 +1191,15 @@ class ShardRouter:
                 doc = self._call(worker.shard_id, "stats", None)
             except (RuntimeError, ShardWorkerCrash) as exc:
                 doc = {"shard": worker.shard_id, "error": str(exc)}
+            shard = str(worker.shard_id)
             doc["worker"] = worker.kind
-            doc["requests_routed"] = worker.requests_routed
-            doc["sub_batches"] = worker.sub_batches
-            doc["restarts"] = worker.restarts
+            doc["requests_routed"] = self._shard_requests.value(shard=shard)
+            doc["sub_batches"] = self._shard_sub_batches.value(shard=shard)
+            doc["restarts"] = self._restarts.value(shard=shard)
             per_shard.append(doc)
 
-        routed = [worker.requests_routed for worker in self._workers]
+        shards = [str(shard) for shard in range(self.shards)]
+        routed = [self._shard_requests.value(shard=shard) for shard in shards]
         total_routed = sum(routed)
         mean_routed = total_routed / len(routed) if routed else 0.0
         imbalance = (max(routed) / mean_routed) if mean_routed > 0 else 0.0
@@ -1273,14 +1238,6 @@ class ShardRouter:
             for key in service_totals:
                 service_totals[key] += doc.get(key, 0)
 
-        with self._metrics_lock:
-            timings = {
-                "queue_wait": self.queue_wait.summary(),
-                "shard_exec": self.shard_exec.summary(),
-            }
-            batches, requests, retries = self.batches_routed, self.requests_routed, self.retries
-            degraded = self.degraded_requests
-
         resilience: Dict[str, Any] = {
             "worker_timeout_seconds": self.worker_timeout,
             "retry_policy": {
@@ -1289,8 +1246,8 @@ class ShardRouter:
                 "multiplier": self.retry_policy.multiplier,
             },
             "retry_budget": self.retry_budget.stats(),
-            "hangs": sum(worker.hangs for worker in self._workers),
-            "degraded_requests": degraded,
+            "hangs": sum(self._hangs.value(shard=shard) for shard in shards),
+            "degraded_requests": sum(self._degraded.value(shard=shard) for shard in shards),
             "breakers": {
                 str(shard): self._breakers[shard].stats()
                 for shard in range(self.shards)
@@ -1312,17 +1269,24 @@ class ShardRouter:
             "plan": self.config.plan.describe()
             if isinstance(self.config.plan, MultiplyPlan)
             else self.config.plan,
-            "batches_served": batches,
-            "requests_served": requests,
+            "batches_served": self._batches.value(),
+            "requests_served": self._requests.value(),
             **service_totals,
-            "restarts": sum(worker.restarts for worker in self._workers),
-            "retries": retries,
+            "restarts": sum(self._restarts.value(shard=shard) for shard in shards),
+            "retries": self._retries.value(),
             "load": {
                 "per_shard_requests": routed,
                 "shards_exercised": sum(1 for count in routed if count > 0),
                 "imbalance": imbalance,
             },
-            "router_timings": timings,
+            "router_timings": {
+                "queue_wait": timing_summary(self._queue_wait),
+                # The shard hop is the pipe round-trip of request-bearing
+                # commands; stats/metrics polls are left out.
+                "shard_exec": timing_summary(
+                    self._pipe_seconds, {"cmd": "submit"}, {"cmd": "ensure"}
+                ),
+            },
             "resilience": resilience,
             "cache": cache,
             "per_shard": per_shard,

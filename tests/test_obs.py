@@ -359,9 +359,8 @@ class TestServerObservability:
         assert status == 200
         assert health["status"] == "ok"
         assert health["version"] == repro.__version__
-        assert health["transport"] in ("asyncio", "thread")
+        assert health["transport"] == "asyncio"
         assert health["uptime_seconds"] > 0
-        assert health["aiohttp_available"] is False
 
         status, _, stats = get_json(sharded_server.url + "/stats")
         assert status == 200

@@ -555,9 +555,9 @@ class TestRouterResilience:
             stats = router.stats()
             assert stats["resilience"]["hangs"] >= 1
             assert stats["restarts"] >= 1
-            # The hang surfaces on the per-shard collector series too.
-            series = router._collect_shard_series()
-            assert series["repro_shard_hangs_total"]["samples"][0][1] >= 1
+            # The hang surfaces on the router's per-shard series too.
+            series = router.registry.snapshot()["repro_shard_hangs_total"]
+            assert series["samples"][0][1] >= 1
 
     def test_deadline_abandons_call_but_worker_survives(self):
         # Dispatch hit 2 stalls 600 ms; the caller's 150 ms budget dies at
@@ -611,10 +611,10 @@ class TestRouterResilience:
                 doc["state"] == "open"
                 for doc in stats["resilience"]["breakers"].values()
             )
-            series = router._collect_shard_series()
+            series = router.registry.snapshot()["repro_breaker_state"]
+            assert len(series["samples"]) == 2
             assert all(
-                sample[1] == BREAKER_STATE_CODES["open"]
-                for sample in series["repro_breaker_state"]["samples"]
+                sample[1] == BREAKER_STATE_CODES["open"] for sample in series["samples"]
             )
 
     def test_breaker_recloses_after_cooldown_probe(self):

@@ -24,10 +24,8 @@ import pytest
 
 import repro.service.serving as serving_module
 from repro.experiments import get_spec, run_experiment
-from repro.server import get_json, post_json, run_load, start_server
+from repro.server import TRANSPORT, get_json, post_json, run_load, start_server
 from repro.service import IndexCache, QueryService, parse_requests_document
-
-TRANSPORTS = ("asyncio", "thread")
 
 
 def _wait_build(url, token, timeout=20.0):
@@ -103,10 +101,10 @@ def _serial_answers(documents):
 
 
 # ---------------------------------------------------------------- plumbing
-@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("transport", (TRANSPORT,))
 class TestRoutes:
     def test_health_stats_and_errors(self, transport):
-        handle = start_server(transport=transport)
+        handle = start_server()
         try:
             status, _, body = get_json(handle.url + "/healthz")
             assert status == 200 and body["transport"] == transport
@@ -115,7 +113,6 @@ class TestRoutes:
             assert status == 200
             assert stats["schema"] == "repro.server.stats"
             assert stats["transport"] == transport
-            assert stats["aiohttp_available"] is False  # not installed here
             assert stats["requests"]["received"] == 0
 
             status, _, body = get_json(handle.url + "/nope")
@@ -145,7 +142,7 @@ class TestRoutes:
             handle.stop()
 
     def test_batch_answers_match_cli_serve_semantics(self, transport):
-        handle = start_server(transport=transport)
+        handle = start_server()
         try:
             document = _mixed_documents()[0]
             status, _, body = post_json(handle.url + "/v2/batch", document)
@@ -204,9 +201,12 @@ class TestConcurrentBitIdentity:
             assert stats["requests"]["failed"] == 0
             # Coalescing genuinely saved work: fewer passes than request groups.
             assert coalescing["passes"] < 32 * 5
-            timings = stats["timings"]
-            assert timings["answer"]["count"] == 32 * 5
-            assert timings["answer"]["max_seconds"] >= timings["answer"]["mean_seconds"]
+            # Timings count observations: one per request group per pass.
+            answer = stats["timings"]["answer"]
+            assert coalescing["passes"] <= answer["count"] <= 32 * 5
+            assert answer["mean_seconds"] * answer["count"] == pytest.approx(
+                answer["total_seconds"]
+            )
         finally:
             handle.stop()
 
@@ -223,6 +223,81 @@ class TestConcurrentBitIdentity:
                 for observed in observed_lists:
                     assert observed == expected[variant]
             assert report.qps > 0 and report.p50_ms > 0
+        finally:
+            handle.stop()
+
+
+# ------------------------------------------------------ /stats vs /metrics
+def _metrics(url):
+    import urllib.request
+
+    from repro.obs.metrics import parse_prometheus_text
+
+    with urllib.request.urlopen(url + "/metrics", timeout=30) as response:
+        return parse_prometheus_text(response.read().decode("utf-8"))
+
+
+def _series_total(parsed, name, *label_sets):
+    series = parsed.get(name, {})
+    return sum(series.get(labels, 0.0) for labels in (label_sets or ((),)))
+
+
+class TestTimingsMatchMetrics:
+    def test_queue_wait_counts_passes_not_requests(self):
+        handle = start_server(coalesce_seconds=0.0)
+        try:
+            document = {
+                "requests": [
+                    {"op": "lis_length", "id": f"q{k}", "workload": "random",
+                     "n": 256, "seed": 5}
+                    for k in range(4)
+                ]
+            }
+            status, _, body = post_json(handle.url + "/v2/batch", document)
+            assert status == 200 and body["ok"] == 4
+            waits = {entry["queue_wait_seconds"] for entry in body["results"]}
+            assert len(waits) == 1  # one group, one pass, one wait
+            _, _, stats = get_json(handle.url + "/stats")
+            parsed = _metrics(handle.url)
+            queue_wait = stats["timings"]["queue_wait"]
+            name = "repro_server_queue_wait_seconds"
+            assert queue_wait["count"] == _series_total(parsed, name + "_count") == 1
+            assert queue_wait["total_seconds"] == _series_total(parsed, name + "_sum")
+            assert queue_wait["mean_seconds"] == waits.pop()
+            assert stats["coalescing"]["passes"] == _series_total(
+                parsed, "repro_server_passes_total"
+            )
+        finally:
+            handle.stop()
+
+    def test_router_shard_exec_reads_the_pipe_histogram(self):
+        from repro.service import ShardRouter
+
+        handle = start_server(ShardRouter(2), coalesce_seconds=0.0)
+        try:
+            status, _, body = post_json(handle.url + "/v2/batch", _mixed_documents()[0])
+            assert status == 200 and body["errors"] == 0
+            status, _, build = post_json(
+                handle.url + "/builds", {"workload": "random", "n": 128, "seed": 9}
+            )
+            assert status == 200
+            assert _wait_build(handle.url, build["token"])["status"] == "done"
+            _, _, stats = get_json(handle.url + "/stats")
+            parsed = _metrics(handle.url)
+            shard_exec = stats["service"]["router_timings"]["shard_exec"]
+            name = "repro_shard_pipe_seconds"
+            cmds = ((("cmd", "submit"),), (("cmd", "ensure"),))
+            assert shard_exec["count"] == _series_total(parsed, name + "_count", *cmds)
+            assert shard_exec["total_seconds"] == pytest.approx(
+                _series_total(parsed, name + "_sum", *cmds), rel=1e-12
+            )
+            assert shard_exec["count"] == sum(
+                doc["sub_batches"] for doc in stats["service"]["per_shard"]
+            )
+            queue_wait = stats["service"]["router_timings"]["queue_wait"]
+            assert queue_wait["count"] == _series_total(
+                parsed, "repro_shard_queue_wait_seconds_count"
+            )
         finally:
             handle.stop()
 
@@ -609,7 +684,6 @@ class TestServiceLatencySpec:
             assert row["ok"] > 0 and row["failed"] == 0
             assert 0 < row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
             assert row["qps"] > 0
-            assert row["aiohttp_available"] is False
 
 
 # ------------------------------------------------------------------ CLI e2e

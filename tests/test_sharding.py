@@ -15,6 +15,7 @@ The invariants every scaling change must preserve:
 """
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -215,6 +216,17 @@ class TestWorkerCrashRecovery:
         finally:
             router.close()
 
+    def test_closed_router_stats_do_not_respawn_workers(self):
+        router = ShardRouter(2)
+        router.submit(_mixed_requests(seed=6, targets=2))
+        restarts = router.stats()["restarts"]
+        router.close()
+        stats = router.stats()
+        assert multiprocessing.active_children() == []
+        assert stats["restarts"] == restarts
+        assert all("closed" in doc["error"] for doc in stats["per_shard"])
+        assert router.extra_metric_snapshots() == []
+
 
 # ------------------------------------------------------- spill + prefetch
 class TestIsolationAndWarmup:
@@ -246,7 +258,7 @@ class TestIsolationAndWarmup:
             worker.process.kill()  # SIGKILL: the worker's own cleanup never runs
             worker.process.join(timeout=10)
             router.submit(_mixed_requests(seed=3, targets=2))
-            assert worker.restarts == 1
+            assert router.stats()["per_shard"][0]["restarts"] == 1
             assert not os.path.exists(old_dir)
             assert os.listdir(spill_root) == [os.path.basename(worker.spill_dir)]
         finally:
