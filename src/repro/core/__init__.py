@@ -10,7 +10,6 @@ from .permutation import (
 )
 from .dense import multiply_dense, minplus_distribution_product, is_distribution_matrix
 from .combine import ColoredPointSet, combine_colored
-from .plan import MultiplyPlan, auto_plan, resolve_plan
 from .seaweed import (
     ScratchArena,
     multiply,
@@ -31,9 +30,6 @@ __all__ = [
     "is_distribution_matrix",
     "ColoredPointSet",
     "combine_colored",
-    "MultiplyPlan",
-    "auto_plan",
-    "resolve_plan",
     "ScratchArena",
     "multiply",
     "multiply_permutations",

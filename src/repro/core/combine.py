@@ -126,8 +126,7 @@ class ColoredPointSet:
     ``PΣ_{C,x}`` and of ``PΣ_C = min_q F_q`` at arbitrary batches of corners.
 
     ``dense_table_limit`` overrides the module-level dense-table budget
-    (plans thread their tuned value through here); ``None`` keeps the
-    default.
+    (the reference engine and tests pass it); ``None`` keeps the default.
     """
 
     def __init__(

@@ -1,10 +1,9 @@
 """Sequential (sub)unit-Monge multiplication in Tiskin's seaweed framework.
 
 The entry point is :func:`multiply`, which accepts arbitrary sub-permutation
-matrices.  Two engines implement the full-permutation product, selected
-through a :class:`~repro.core.plan.MultiplyPlan`:
+matrices.  Two NumPy engines implement the full-permutation product:
 
-* **iterative** (default, :func:`multiply_permutations_iterative`): an
+* **iterative** (:func:`multiply_permutations_iterative`): an
   allocation-lean bottom-up scheduler.  The instance is split top-down into
   an explicit H-ary block tree (the maps ``M_A``/``M_B`` of the paper's
   Section 3.1); leaves go to the dense oracle; every internal node is then
@@ -24,13 +23,15 @@ Both engines are bit-identical on every input (the (sub)unit-Monge product
 is unique); the property tests in ``tests/test_seaweed.py`` and the
 ``python -m repro perf`` regression subsystem pin that identity.
 
-:func:`multiply_permutations` with the iterative engine first tries the
-**compiled kernel** (``_seaweed.c``, loaded by :mod:`repro.core.native`): the
-same split at fan-in 2, recursing down to single points, merged bottom-up by
-the same staircase walk in C.  When the kernel is unavailable (no gcc, a
-failed build or load) it runs :func:`multiply_permutations_iterative`
-unchanged.  The oracle chain is therefore kernel → NumPy iterative engine →
-recursive reference; ``tests/test_native.py`` pins the first link.
+:func:`multiply_permutations` runs the **compiled kernel** (``_seaweed.c``,
+loaded by :mod:`repro.core.native`): the same split at fan-in 2, recursing
+down to single points, merged bottom-up by the same staircase walk in C.
+When the kernel is unavailable (no gcc, a failed build or load) it runs
+:func:`multiply_permutations_iterative` at its defaults (fan-in 2, dense
+leaves of at most 32 points).  The engines' ``fanin``/``base_size`` keywords
+exist for the oracle tests and the perf cases; no other layer sets them.
+The oracle chain is therefore kernel → NumPy iterative engine → recursive
+reference; ``tests/test_native.py`` pins the first link.
 
 The staircase merge of two sub-results ``P_0`` (color 0) and ``P_1``
 (color 1) rests on Lemma 3.2 specialised to ``H = 2``: with
@@ -58,7 +59,6 @@ from . import native
 from .combine import combine_colored
 from .dense import multiply_dense
 from .permutation import EMPTY, Permutation, SubPermutation
-from .plan import MultiplyPlan, resolve_plan
 from ..obs.metrics import get_registry
 
 # Engine metrics, recorded once per multiply (never per merge) so the
@@ -96,7 +96,7 @@ __all__ = [
 ]
 
 #: Below this size the dense oracle is at least as fast as the recursion
-#: (historical reference-engine default; plans default to a tuned value).
+#: (reference-engine default).
 DEFAULT_BASE_SIZE = 64
 
 
@@ -438,8 +438,9 @@ def _merge_node_products(
 def multiply_permutations_iterative(
     pa: Permutation,
     pb: Permutation,
-    plan: Optional[MultiplyPlan] = None,
     *,
+    fanin: int = 2,
+    base_size: int = 32,
     arena: Optional[ScratchArena] = None,
 ) -> Permutation:
     """``P_A ⊡ P_B`` by the allocation-lean bottom-up scheduler.
@@ -449,15 +450,18 @@ def multiply_permutations_iterative(
     children always precede parents — solving leaves with the dense oracle
     and folding each internal node's children with pairwise staircase merges
     (a balanced fold: associativity of ``⊡`` makes the bracketing free).
+    ``fanin`` is the split fan-in ``H``; nodes of at most ``base_size``
+    points go to the dense oracle.
     """
-    plan = plan if plan is not None else MultiplyPlan()
+    if fanin < 2:
+        raise ValueError("fanin must be at least 2")
     n = pa.size
     if pb.size != n:
         raise ValueError("operands must have the same size")
     if n == 0:
         return Permutation(np.empty(0, dtype=np.int64), validate=False)
-    fanin = int(plan.fanin)
-    leaf_cap = max(int(plan.base_size), fanin)
+    fanin = int(fanin)
+    leaf_cap = max(int(base_size), fanin)
     arena = arena if arena is not None else ScratchArena()
     arena_grows0, arena_reuses0 = arena.grows, arena.reuses
     merge_count = 0
@@ -534,49 +538,20 @@ def multiply_permutations_iterative(
     return Permutation(out, validate=False)
 
 
-def multiply_permutations(
-    pa: Permutation,
-    pb: Permutation,
-    *,
-    fanin: Optional[int] = None,
-    base_size: Optional[int] = None,
-    plan: Optional[MultiplyPlan] = None,
-) -> Permutation:
+def multiply_permutations(pa: Permutation, pb: Permutation) -> Permutation:
     """``P_A ⊡ P_B`` for full permutation matrices of equal size.
 
-    Parameters
-    ----------
-    fanin:
-        Number of subproblems ``H`` per level (the paper uses
-        ``H = n^{(1-δ)/10}`` in the MPC setting; sequentially any ``H >= 2``
-        is correct and exposed here for the fan-in ablation).  Overrides the
-        plan's fan-in when given.
-    base_size:
-        Instances of at most this size are handed to the dense oracle
-        (overrides the plan's crossover when given).
-    plan:
-        The full :class:`~repro.core.plan.MultiplyPlan` (engine selection and
-        tuned knobs).  Defaults to the iterative engine's static defaults.
-
-    With the iterative engine the compiled kernel runs whenever it has
-    loaded; ``fanin`` and ``base_size`` then only shape the NumPy fallback.
+    Runs the compiled kernel when it has loaded, otherwise
+    :func:`multiply_permutations_iterative` at its defaults.  Every engine
+    returns the same product (the (sub)unit-Monge product is unique).
     """
-    resolved = resolve_plan(plan, fanin=fanin, base_size=base_size)
-    if resolved.engine == "reference":
-        return multiply_permutations_reference(
-            pa,
-            pb,
-            fanin=resolved.fanin,
-            base_size=resolved.base_size,
-            dense_table_limit=resolved.dense_table_limit,
-        )
     compiled = native.kernel()
     if compiled is not None and pa.size == pb.size:
         out = compiled.multiply(pa.row_to_col, pb.row_to_col)
         if out is not None:
             _MULTIPLIES.inc()
             return Permutation(out, validate=False)
-    return multiply_permutations_iterative(pa, pb, resolved)
+    return multiply_permutations_iterative(pa, pb)
 
 
 # --------------------------------------------------------------------------
@@ -653,20 +628,11 @@ def strip_padding(product: Permutation, info: PaddingInfo) -> SubPermutation:
     )
 
 
-def multiply(
-    pa: SubPermutation,
-    pb: SubPermutation,
-    *,
-    fanin: Optional[int] = None,
-    base_size: Optional[int] = None,
-    plan: Optional[MultiplyPlan] = None,
-) -> SubPermutation:
+def multiply(pa: SubPermutation, pb: SubPermutation) -> SubPermutation:
     """Implicit (sub)unit-Monge multiplication ``P_A ⊡ P_B`` (Theorems 1.1/1.2).
 
     Accepts arbitrary (possibly rectangular) sub-permutation matrices; full
-    square permutations skip the padding step.  ``plan`` selects the engine
-    and tuned knobs (see :class:`~repro.core.plan.MultiplyPlan`);
-    ``fanin``/``base_size`` override individual plan fields.
+    square permutations skip the padding step.
     """
     if (
         isinstance(pa, SubPermutation)
@@ -675,12 +641,6 @@ def multiply(
         and pa.is_full_permutation()
         and pb.is_full_permutation()
     ):
-        return multiply_permutations(
-            pa.as_permutation(), pb.as_permutation(),
-            fanin=fanin, base_size=base_size, plan=plan,
-        )
+        return multiply_permutations(pa.as_permutation(), pb.as_permutation())
     perm_a, perm_b, info = pad_to_permutations(pa, pb)
-    product = multiply_permutations(
-        perm_a, perm_b, fanin=fanin, base_size=base_size, plan=plan
-    )
-    return strip_padding(product, info)
+    return strip_padding(multiply_permutations(perm_a, perm_b), info)

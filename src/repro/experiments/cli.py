@@ -38,11 +38,10 @@ Subcommands
 ``validate <path>``
     Check an artifact file against the schema (exit 1 on failure).
 
-The multiply-engine tuning knobs ``--fanin``, ``--base-size`` and ``--plan
-{default,auto}`` are available on ``run`` (for the specs that expose them),
-``serve``, ``stream`` and ``perf``; they change mechanics/wall-clock only —
-every answer and artifact metric other than timing is bit-identical across
-plans.
+The sequential multiply has no tuning flags: it runs the compiled kernel
+(or its NumPy fallback) at fixed constants.  The MPC fan-in ``H`` is a
+parameter of the ``fanin_ablation`` experiment (``run fanin_ablation --set
+fanin=4``).
 
 Every named-workload input is derived from an explicit ``--seed`` (default
 0), so a recorded artifact is bit-for-bit reproducible from the CLI line
@@ -61,7 +60,7 @@ Examples
     $ python -m repro stream --ticks 16 --window 4096 --workload random --seed 7
     $ python -m repro stream --session lcs --window 256 --ticks 8
     $ python -m repro perf --quick
-    $ python -m repro perf --json results/perf_core.json --plan auto
+    $ python -m repro perf --json results/perf_core.json
     $ python -m repro perf --quick --record-trend
     $ python -m repro report
     $ python -m repro report results/shard_scaling.json --capacity 500
@@ -103,47 +102,8 @@ __all__ = ["main", "build_parser"]
 DEFAULT_ARTIFACT_TEMPLATE = "results/{spec}.json"
 
 
-def _add_plan_arguments(parser) -> None:
-    """The shared multiply-engine tuning knobs (mechanics/wall-clock only)."""
-    parser.add_argument(
-        "--fanin",
-        type=int,
-        default=None,
-        metavar="H",
-        help="multiply-engine split fan-in (answers are identical across fan-ins)",
-    )
-    parser.add_argument(
-        "--base-size",
-        type=int,
-        default=None,
-        metavar="B",
-        help="multiply-engine dense-oracle crossover size",
-    )
-    parser.add_argument(
-        "--plan",
-        choices=("default", "auto"),
-        default=None,
-        help="multiply plan: static defaults or per-machine auto-calibration",
-    )
-
-
-def _resolve_cli_plan(args, *, required: bool = False):
-    """The plan implied by the CLI knobs (``None`` when nothing was asked)."""
-    from ..core.plan import resolve_plan
-
-    if not required and args.plan is None and args.fanin is None and args.base_size is None:
-        return None
-    return resolve_plan(args.plan, fanin=args.fanin, base_size=args.base_size)
-
-
 def _build_cli_service(args, *, mode, delta, backend, cache_bytes, spill_dir):
-    """A single-process service, or — with ``--shards N`` — a shard router.
-
-    The router receives the *raw* plan spec (not a resolved plan): each
-    worker resolves it once at its own startup, so ``--plan auto``
-    calibrates once per worker process, never in the parent and never per
-    request.
-    """
+    """A single-process service, or — with ``--shards N`` — a shard router."""
     fault_plan = None
     fault_spec = getattr(args, "fault_plan", None) or os.environ.get("REPRO_FAULT_PLAN")
     if fault_spec:
@@ -163,9 +123,6 @@ def _build_cli_service(args, *, mode, delta, backend, cache_bytes, spill_dir):
             mode=mode,
             delta=delta,
             backend=backend,
-            plan=args.plan,
-            fanin=args.fanin,
-            base_size=args.base_size,
             cache_bytes=cache_bytes,
             spill_dir=spill_dir,
             **extra,
@@ -180,7 +137,6 @@ def _build_cli_service(args, *, mode, delta, backend, cache_bytes, spill_dir):
         mode=mode,
         delta=delta,
         backend=backend,
-        plan=_resolve_cli_plan(args),
     )
 
 
@@ -248,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a swept grid parameter (repeatable)",
     )
     run_parser.add_argument("--no-checks", action="store_true", help="skip the cross-point consistency checks")
-    _add_plan_arguments(run_parser)
 
     serve_parser = sub.add_parser(
         "serve",
@@ -306,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         "each with a private index cache (0 = single-process service; "
         "answers are shard-invariant)",
     )
-    _add_plan_arguments(serve_parser)
 
     serve_http_parser = sub.add_parser(
         "serve-http",
@@ -490,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker.dispatch, pipe.send, pipe.recv, cache.spill_load, "
         "index.build; kinds: crash, hang, delay, error, corrupt",
     )
-    _add_plan_arguments(serve_http_parser)
 
     stream_parser = sub.add_parser(
         "stream",
@@ -531,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the per-tick outcome as a schema-v1 artifact (+ 'streaming' section)",
     )
-    _add_plan_arguments(stream_parser)
 
     perf_parser = sub.add_parser(
         "perf",
@@ -585,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append a {commit, timestamp, normalized timings} row to the "
         "perf trend log (default path: results/perf_trend.jsonl)",
     )
-    _add_plan_arguments(perf_parser)
 
     report_parser = sub.add_parser(
         "report",
@@ -660,8 +611,6 @@ def _cmd_list(as_json: bool, out) -> int:
 
 
 def _cmd_run(args, out) -> int:
-    import inspect
-
     spec = get_spec(args.spec)
     overrides = _parse_overrides(args.overrides)
     fixed_overrides: Optional[Dict[str, Any]] = None
@@ -676,26 +625,6 @@ def _cmd_run(args, out) -> int:
             overrides["backend"] = [args.backend]
         else:
             fixed_overrides = {"backend": args.backend}
-    # Multiply-engine knobs route like --backend: grid-swept parameters are
-    # restricted, point-accepted parameters become fixed overrides, anything
-    # else fails loudly (the spec genuinely has no sequential multiply knob).
-    point_params = set(inspect.signature(spec.point).parameters)
-    for key, value in (("fanin", args.fanin), ("base_size", args.base_size), ("plan", args.plan)):
-        if value is None:
-            continue
-        if key in overrides:
-            raise ValueError(
-                f"--{key.replace('_', '-')} conflicts with --set {key}=...; pass only one"
-            )
-        if key in spec.grid:
-            overrides[key] = [value]
-        elif key in point_params:
-            fixed_overrides = dict(fixed_overrides or {})
-            fixed_overrides[key] = value
-        else:
-            raise ValueError(
-                f"experiment {spec.name!r} does not expose the {key!r} tuning knob"
-            )
     result = run_experiment(
         spec,
         quick=args.quick,
@@ -1035,14 +964,13 @@ def _slo_eval_artifact(
     }
 
 
-def _stream_artifact(args, session, points, seconds: float, plan=None) -> Dict[str, Any]:
+def _stream_artifact(args, session, points, seconds: float) -> Dict[str, Any]:
     """The streaming outcome as a schema-v1 document (+ ``streaming`` section).
 
     Per-tick rows become grid points of an ad-hoc ``stream`` spec; the
-    session configuration — including the fully resolved multiply plan, so
-    recorded timings are attributable to the mechanics actually used — and
-    the aggregator's cost counters (multiplies performed, blocks rebuilt,
-    node-store bytes) ride along in the additive ``streaming`` field.
+    session configuration and the aggregator's cost counters (multiplies
+    performed, blocks rebuilt, node-store bytes) ride along in the additive
+    ``streaming`` field.
     """
     spec = ExperimentSpec(
         name="stream",
@@ -1066,7 +994,6 @@ def _stream_artifact(args, session, points, seconds: float, plan=None) -> Dict[s
             "seed": int(args.seed),
             "strict": not args.non_strict,
             "backend": args.backend or "serial",
-            "plan": plan.describe() if plan is not None else "default",
         },
         quick=False,
         workers=1,
@@ -1086,7 +1013,6 @@ def _cmd_stream(args, out) -> int:
     if args.window < 1 or args.ticks < 0 or args.slide < 1:
         raise ValueError("stream needs --window >= 1, --ticks >= 0 and --slide >= 1")
     total = args.window + args.ticks * args.slide
-    plan = _resolve_cli_plan(args)
     if args.session == "lis":
         stream = make_sequence(args.workload, total, seed=args.seed).astype(float)
         session = StreamingLIS(
@@ -1094,7 +1020,6 @@ def _cmd_stream(args, out) -> int:
             strict=not args.non_strict,
             leaf_size=args.leaf_size,
             backend=args.backend,
-            plan=plan,
         )
         warm = stream[: args.window]
         describe = f"{args.workload}(n={total}, seed={args.seed})"
@@ -1105,7 +1030,6 @@ def _cmd_stream(args, out) -> int:
             window=args.window,
             leaf_size=args.leaf_size,
             backend=args.backend,
-            plan=plan,
         )
         warm = stream[: args.window]
         describe = f"{args.string_workload}(n={total}, seed={args.seed})"
@@ -1177,7 +1101,7 @@ def _cmd_stream(args, out) -> int:
         file=out,
     )
     if args.artifact is not None:
-        document = _stream_artifact(args, session, points, seconds, plan=plan)
+        document = _stream_artifact(args, session, points, seconds)
         write_document(document, args.artifact)
         print(f"wrote artifact: {args.artifact}", file=out)
     return 0
@@ -1193,12 +1117,7 @@ def _cmd_perf(args, out) -> int:
         run_perf,
     )
 
-    plan = _resolve_cli_plan(args, required=True)
-    document = run_perf(
-        quick=args.quick,
-        plan=plan,
-        repeats=max(1, int(args.repeats)),
-    )
+    document = run_perf(quick=args.quick, repeats=max(1, int(args.repeats)))
     rows = [
         [
             point["params"]["case"],

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.plan import MultiplyPlan
 from ..lis.semilocal import SemiLocalLIS, validate_intervals, value_interval_matrix
 from ..lis.mpc_lis import mpc_lis_matrix
 from ..mpc.cluster import MPCCluster
@@ -72,17 +71,11 @@ def _build(matches: np.ndarray, t_length: int, semilocal: SemiLocalLIS) -> SemiL
     )
 
 
-def semilocal_lcs(
-    s: Sequence, t: Sequence, *, plan: Optional[MultiplyPlan] = None
-) -> SemiLocalLCS:
-    """Sequential semi-local LCS of ``S`` versus all subsegments of ``T``.
-
-    ``plan`` tunes the multiply engine of the underlying value-interval
-    build (mechanics only; the matrix is bit-identical across plans).
-    """
+def semilocal_lcs(s: Sequence, t: Sequence) -> SemiLocalLCS:
+    """Sequential semi-local LCS of ``S`` versus all subsegments of ``T``."""
     pairs = match_pairs(s, t)
     matches = pairs[:, 1] if len(pairs) else np.empty(0, dtype=np.int64)
-    semilocal = value_interval_matrix(matches, strict=True, plan=plan)
+    semilocal = value_interval_matrix(matches, strict=True)
     return _build(matches, len(t), semilocal)
 
 

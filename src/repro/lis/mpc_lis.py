@@ -29,11 +29,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.permutation import SubPermutation
+from ..core.seaweed import multiply
 from ..mpc.cluster import MPCCluster, SORT_ROUNDS
 from ..mpc_monge.constant_round import MongeMPCConfig
 from ..mpc_monge.subpermutation import mpc_multiply_subpermutation
 from ..mpc_monge.warmup import warmup_config
-from .semilocal import SemiLocalLIS, _build_recursive, _default_multiply, embed_into_universe, rank_transform
+from .semilocal import SemiLocalLIS, _build_recursive, embed_into_universe, rank_transform
 
 __all__ = ["MPCLISResult", "mpc_lis_length", "mpc_lis_matrix", "mpc_semilocal_lis"]
 
@@ -53,7 +54,7 @@ class MPCLISResult:
 
 def _local_block_matrix(coords_split: np.ndarray, coords_index: np.ndarray) -> SubPermutation:
     """Build a block's semi-local matrix on a single machine (no rounds)."""
-    return _build_recursive(coords_split, coords_index, _default_multiply)
+    return _build_recursive(coords_split, coords_index, multiply)
 
 
 #: Signature of the multiplication used by the merge phase: it receives the

@@ -31,14 +31,13 @@ size per divide-and-conquer level is O(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from ..core import native
 from ..core.combine import ColoredPointSet
 from ..core.permutation import SubPermutation
-from ..core.plan import MultiplyPlan
 from ..core.seaweed import multiply
 
 __all__ = [
@@ -317,39 +316,16 @@ class SemiLocalLIS:
         return int(self.query_substrings(i, j)[0])
 
 
-def _default_multiply(pa: SubPermutation, pb: SubPermutation) -> SubPermutation:
-    return multiply(pa, pb)
-
-
-def _resolve_multiply_fn(
-    multiply_fn: Optional[MultiplyFn], plan: Optional[MultiplyPlan]
-) -> MultiplyFn:
-    """An explicit ``multiply_fn`` wins; otherwise the plan's engine; else default."""
-    if multiply_fn is not None:
-        return multiply_fn
-    if plan is not None:
-        return plan.multiply_fn()
-    return _default_multiply
-
-
 def value_interval_matrix(
     sequence: Sequence[float],
     *,
     strict: bool = True,
-    multiply_fn: Optional[MultiplyFn] = None,
-    plan: Optional[MultiplyPlan] = None,
     dense_block_size: int = DENSE_BLOCK_SIZE,
 ) -> SemiLocalLIS:
-    """Semi-local LIS matrix indexed by value ranks (split by position).
-
-    ``plan`` selects the multiply engine and tuning (mechanics only — the
-    built matrix is bit-identical across plans); an explicit ``multiply_fn``
-    overrides it.
-    """
+    """Semi-local LIS matrix indexed by value ranks (split by position)."""
     ranks = rank_transform(sequence, strict=strict)
     positions = np.arange(len(ranks), dtype=np.int64)
-    fn = _resolve_multiply_fn(multiply_fn, plan)
-    matrix = _build_recursive(positions, ranks, fn, dense_block_size)
+    matrix = _build_recursive(positions, ranks, multiply, dense_block_size)
     return SemiLocalLIS(matrix=matrix, kind="value", length=len(ranks))
 
 
@@ -357,20 +333,16 @@ def subsegment_matrix(
     sequence: Sequence[float],
     *,
     strict: bool = True,
-    multiply_fn: Optional[MultiplyFn] = None,
-    plan: Optional[MultiplyPlan] = None,
     dense_block_size: int = DENSE_BLOCK_SIZE,
 ) -> SemiLocalLIS:
     """Semi-local LIS matrix indexed by positions (split by value).
 
     Supports ``query_substring(i, j)`` — the semi-local LIS of
-    Corollary 1.3.2.  ``plan`` selects the multiply engine (see
-    :func:`value_interval_matrix`).
+    Corollary 1.3.2.
     """
     ranks = rank_transform(sequence, strict=strict)
     positions = np.arange(len(ranks), dtype=np.int64)
-    fn = _resolve_multiply_fn(multiply_fn, plan)
-    matrix = _build_recursive(ranks, positions, fn, dense_block_size)
+    matrix = _build_recursive(ranks, positions, multiply, dense_block_size)
     return SemiLocalLIS(matrix=matrix, kind="position", length=len(ranks))
 
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from ..core.combine import ColoredPointSet
 from ..core.permutation import Permutation, SubPermutation
-from ..core.plan import MultiplyPlan
 from ..core.seaweed import (
     expand_block_results,
     multiply_permutations,
@@ -97,13 +96,6 @@ class MongeMPCConfig:
     #: Subproblems of at most this size are gathered on one machine and
     #: solved locally.  ``None`` selects the cluster's space budget ``s``.
     local_threshold: Optional[int] = None
-    #: Base size handed to the sequential solver for local subproblems.
-    sequential_base_size: int = 64
-    #: Plan for the sequential local solver and the combine engine's dense-
-    #: table budget.  ``None`` keeps the default plan shaped as fan-in 2 with
-    #: ``sequential_base_size`` (the default engine applies either way);
-    #: results are bit-identical across plans — this tunes wall-clock only.
-    multiply_plan: Optional["MultiplyPlan"] = None
     #: Execution backend name (``"serial"``/``"thread"``/``"process"``) used
     #: for the duration of a top-level multiplication call (the cluster's own
     #: backend is restored afterwards).  ``None`` keeps whatever backend the
@@ -193,11 +185,7 @@ def mpc_multiply(
         cluster.charge_round(
             "local:gather", words=2 * n, max_load=2 * n, phase=phase
         )
-        if config.multiply_plan is not None:
-            return multiply_permutations(pa, pb, plan=config.multiply_plan)
-        return multiply_permutations(
-            pa, pb, fanin=2, base_size=config.sequential_base_size
-        )
+        return multiply_permutations(pa, pb)
 
     # ------------------------------------------------------------- §3.1 split
     # Sorting the nonzero row indices of every P_{A,q} (and the columns of
@@ -262,14 +250,7 @@ def mpc_combine(
     )
     tree_arity = int(max(2, tree_arity))
 
-    point_set = ColoredPointSet(
-        rows, cols, colors, H, n, n,
-        dense_table_limit=(
-            config.multiply_plan.dense_table_limit
-            if config.multiply_plan is not None
-            else None
-        ),
-    )
+    point_set = ColoredPointSet(rows, cols, colors, H, n, n)
     grid = grid_corners(n, grid_size)
     num_lines = len(grid)
 

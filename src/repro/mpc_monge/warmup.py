@@ -26,7 +26,6 @@ def warmup_config(base: Optional[MongeMPCConfig] = None) -> MongeMPCConfig:
         tree_arity=base.tree_arity,
         grid_size=base.grid_size,
         local_threshold=base.local_threshold,
-        sequential_base_size=base.sequential_base_size,
         backend=base.backend,
     )
 

@@ -6,7 +6,8 @@ divided by the run's own calibration-kernel seconds, see
 not trip the gate — only a genuinely slower code path does.  Points are
 matched by their identifying params (``case``/``group``/sizes); cases present
 in only one document are reported but never fail the check, so the grid can
-grow without invalidating old baselines.
+grow without invalidating old baselines.  A comparison that matches no case
+at all fails: it would otherwise pass without checking anything.
 
 The headline speedup claim (iterative engine ≥ ``floor`` times the retained
 recursive reference) is checked separately from the artifact's ``perf``
@@ -57,7 +58,8 @@ def compare_documents(
     """Compare two perf artifacts; returns a JSON-safe report.
 
     ``report['ok']`` is false iff at least one matched case regressed beyond
-    ``tolerance``.  Cases missing on either side are listed informationally.
+    ``tolerance`` or no case matched.  Cases missing on either side are
+    listed informationally.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -98,7 +100,7 @@ def compare_documents(
         for key in baseline_points.keys() - current_points.keys()
     )
     return {
-        "ok": not regressions,
+        "ok": checked > 0 and not regressions,
         "tolerance": float(tolerance),
         "checked": checked,
         "regressions": regressions,
@@ -130,10 +132,15 @@ def check_speedup(
 
 def format_report(report: Dict[str, Any]) -> str:
     """One-paragraph text rendering of a :func:`compare_documents` report."""
+    if report["ok"]:
+        verdict = "OK"
+    elif report["regressions"]:
+        verdict = f"{len(report['regressions'])} REGRESSION(S)"
+    else:
+        verdict = "FAILED: no case matches the baseline"
     lines = [
         f"perf regression check: {report['checked']} cases compared "
-        f"(tolerance {report['tolerance']:.2f}x) -> "
-        + ("OK" if report["ok"] else f"{len(report['regressions'])} REGRESSION(S)")
+        f"(tolerance {report['tolerance']:.2f}x) -> {verdict}"
     ]
     for entry in report["regressions"]:
         lines.append(

@@ -59,6 +59,7 @@ def trend_row(document: Dict[str, Any], *, commit: Optional[str] = None) -> Dict
         "quick": bool(document.get("quick", False)),
         "calibration_seconds": perf.get("calibration_seconds"),
         "multiply_speedup_vs_reference": perf.get("multiply_speedup_vs_reference"),
+        "kernel": perf.get("kernel"),
         "normalized": normalized,
     }
 

@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.serialize import weighted_checksum
-from ..core.plan import MultiplyPlan
 from ..lis.semilocal import validate_intervals
 from ..streaming.recompose import extend_value_matrix
 from .cache import IndexCache
@@ -137,10 +136,6 @@ class QueryService:
         parameter and the execution backend (``serial``/``thread``/
         ``process``).  Backends change build wall-clock only — the built
         index, and therefore every answer, is bit-identical across them.
-    plan:
-        A :class:`~repro.core.plan.MultiplyPlan` tuning the sequential build
-        engine (mechanics only; indexes and answers are bit-identical across
-        plans, so the plan does not enter fingerprints).
     """
 
     def __init__(
@@ -150,7 +145,6 @@ class QueryService:
         mode: str = "sequential",
         delta: float = 0.5,
         backend: Optional[str] = None,
-        plan: Optional[MultiplyPlan] = None,
     ) -> None:
         if mode not in ("sequential", "mpc"):
             raise ValueError(f"mode must be 'sequential' or 'mpc', got {mode!r}")
@@ -158,7 +152,6 @@ class QueryService:
         self.mode = mode
         self.delta = float(delta)
         self.backend = backend
-        self.plan = plan
         #: ``(target, kind, strict) -> fingerprint`` memo: TargetSpec fully
         #: determines the input content, so warm submits skip both the O(n)
         #: target realisation and the SHA-256 over its bytes.
@@ -180,7 +173,7 @@ class QueryService:
         if kind == "lcs":
             s, t = realised
             return build_lcs_index(
-                s, t, mode=self.mode, delta=self.delta, backend=self.backend, plan=self.plan
+                s, t, mode=self.mode, delta=self.delta, backend=self.backend
             )
         return build_lis_index(
             realised,
@@ -189,7 +182,6 @@ class QueryService:
             mode=self.mode,
             delta=self.delta,
             backend=self.backend,
-            plan=self.plan,
         )
 
     def _get_index(
@@ -430,7 +422,6 @@ class QueryService:
             "mode": self.mode,
             "delta": self.delta,
             "backend": self.backend or "serial",
-            "plan": self.plan.describe() if self.plan is not None else None,
             "batches_served": self.batches_served,
             "requests_served": self.requests_served,
             "queries_evaluated": self.queries_evaluated,

@@ -34,9 +34,7 @@ or an explicit ``force_serial=True`` — the router degrades gracefully to
 caches, same answers; only the parallelism is gone) and records the fallback
 in its stats.
 
-Worker processes resolve their :class:`~repro.core.plan.MultiplyPlan` once
-at startup — ``plan="auto"`` therefore calibrates **once per worker
-process**, never per request — and reuse the engine-layer conventions of
+Worker processes reuse the engine-layer conventions of
 :mod:`repro.mpc.engine` (fork context, daemonic-process detection); MPC
 builds inside a worker automatically run their execution backend inline,
 so shard workers never spawn nested pools.
@@ -67,7 +65,6 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.native import kernel_status
-from ..core.plan import MultiplyPlan, resolve_plan
 from ..mpc.engine import fork_context, in_daemonic_process
 from ..obs.metrics import MetricsRegistry, get_registry, relabel_snapshot, timing_summary
 from ..obs.trace import span, span_event
@@ -182,22 +179,13 @@ class IndexInfo:
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """Per-worker service configuration (picklable; shipped at spawn time).
-
-    ``plan`` is deliberately the *unresolved* CLI-style spec (``None`` /
-    ``"default"`` / ``"auto"`` / a concrete :class:`MultiplyPlan`): each
-    worker resolves it once at startup, so ``"auto"`` calibration runs once
-    per worker process on that worker's own core, never per request.
-    """
+    """Per-worker service configuration (picklable; shipped at spawn time)."""
 
     mode: str = "sequential"
     delta: float = 0.5
     backend: Optional[str] = None
     cache_bytes: int = DEFAULT_CACHE_BYTES
     spill_root: Optional[str] = None
-    plan: Union[None, str, MultiplyPlan] = None
-    fanin: Optional[int] = None
-    base_size: Optional[int] = None
     #: Chaos-testing plan, installed by each worker at startup so the
     #: worker-side fault sites (dispatch, spill load, index build) fire in
     #: the worker process (plans are picklable; counters restart per pid).
@@ -217,11 +205,6 @@ def _worker_spill_dir(config: ShardConfig, shard_id: int) -> Optional[str]:
 
 
 def _build_worker_service(config: ShardConfig, shard_id: int) -> Tuple[QueryService, Optional[str]]:
-    plan = None
-    if config.plan is not None or config.fanin is not None or config.base_size is not None:
-        # Resolved exactly once per worker: "auto" times its candidate grid
-        # here, at startup, and every later request reuses the winner.
-        plan = resolve_plan(config.plan, fanin=config.fanin, base_size=config.base_size)
     spill_dir = _worker_spill_dir(config, shard_id)
     cache = IndexCache(max_bytes=config.cache_bytes, spill_dir=spill_dir)
     service = QueryService(
@@ -229,7 +212,6 @@ def _build_worker_service(config: ShardConfig, shard_id: int) -> Tuple[QueryServ
         mode=config.mode,
         delta=config.delta,
         backend=config.backend,
-        plan=plan,
     )
     return service, spill_dir
 
@@ -601,9 +583,6 @@ class ShardRouter:
         backends).
     mode, delta, backend:
         Per-worker :class:`QueryService` build mechanics.
-    plan, fanin, base_size:
-        Multiply-plan spec, resolved **once per worker process** (so
-        ``plan="auto"`` calibrates per worker, never per request).
     cache_bytes:
         Per-worker in-memory index budget.
     spill_dir:
@@ -640,9 +619,6 @@ class ShardRouter:
         mode: str = "sequential",
         delta: float = 0.5,
         backend: Optional[str] = None,
-        plan: Union[None, str, MultiplyPlan] = None,
-        fanin: Optional[int] = None,
-        base_size: Optional[int] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         spill_dir: Optional[str] = None,
         replicas: int = DEFAULT_RING_REPLICAS,
@@ -679,9 +655,6 @@ class ShardRouter:
             backend=backend,
             cache_bytes=int(cache_bytes),
             spill_root=spill_dir,
-            plan=plan,
-            fanin=fanin,
-            base_size=base_size,
             fault_plan=fault_plan,
         )
         self.ring = ConsistentHashRing(self.shards, replicas=replicas)
@@ -1266,9 +1239,6 @@ class ShardRouter:
             "mode": self.config.mode,
             "delta": self.config.delta,
             "backend": self.config.backend or "serial",
-            "plan": self.config.plan.describe()
-            if isinstance(self.config.plan, MultiplyPlan)
-            else self.config.plan,
             "batches_served": self._batches.value(),
             "requests_served": self._requests.value(),
             **service_totals,

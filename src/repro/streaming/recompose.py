@@ -16,13 +16,12 @@ path behind the ``refresh`` request kind of ``repro.service.requests`` v2.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..core.seaweed import multiply
 from ..lis.semilocal import SemiLocalLIS
-from .aggregator import BlockProduct, MultiplyFn, build_block_product, combine_block_products
+from .aggregator import BlockProduct, build_block_product, combine_block_products
 
 __all__ = ["block_product_from_semilocal", "extend_value_matrix"]
 
@@ -56,7 +55,6 @@ def extend_value_matrix(
     suffix: Sequence[float],
     *,
     strict: bool = True,
-    multiply_fn: Optional[MultiplyFn] = None,
 ) -> SemiLocalLIS:
     """``value_interval_matrix(old + suffix)`` by reusing the old product.
 
@@ -64,13 +62,12 @@ def extend_value_matrix(
     matrix is bit-identical to a full rebuild.  ``semilocal`` must be the
     value-interval matrix of ``old_values`` built with the same ``strict``.
     """
-    fn = multiply_fn if multiply_fn is not None else multiply
     suffix = np.asarray(suffix, dtype=np.float64)
     old_values = np.asarray(old_values, dtype=np.float64)
     if suffix.size == 0:
         return semilocal
     old_block = block_product_from_semilocal(semilocal, old_values, strict=strict)
     arrivals = len(old_values) + np.arange(len(suffix), dtype=np.int64)
-    suffix_block = build_block_product(suffix, -arrivals if strict else arrivals, fn)
-    combined = combine_block_products(old_block, suffix_block, fn)
+    suffix_block = build_block_product(suffix, -arrivals if strict else arrivals)
+    combined = combine_block_products(old_block, suffix_block)
     return SemiLocalLIS(matrix=combined.matrix, kind="value", length=combined.size)

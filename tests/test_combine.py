@@ -83,7 +83,7 @@ class TestColoredPointSet:
             ColoredPointSet(np.array([0]), np.array([0]), np.array([3]), 2, 3, 3)
 
     def test_dense_table_limit_parameter_forces_tree_path(self, rng):
-        # The per-instance knob (threaded from MultiplyPlan) must select the
+        # The per-instance knob (passed by the reference engine) must select the
         # sparse color-major path without touching the module default.
         n = 24
         rows, cols, colors, expected = make_colored_instance(n, 3, rng)

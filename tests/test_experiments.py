@@ -21,7 +21,7 @@ from repro.experiments import (
     validate_artifact,
     write_artifact,
 )
-from repro.experiments.cli import main as cli_main
+from repro.experiments.cli import build_parser, main as cli_main
 from repro.lis import mpc_lis_length
 from repro.mpc import MPCCluster
 from repro.workloads import (
@@ -279,3 +279,21 @@ def test_cli_errors_are_reported_not_raised(tmp_path, capsys):
     bad.write_text("{}")
     assert cli_main(["validate", str(bad)]) == 1
     assert cli_main([]) == 2
+
+
+def test_cli_has_no_multiply_tuning_flags(capsys):
+    # The sequential multiply runs at fixed constants, so the old tuning
+    # flags are unknown arguments on every subcommand that once took them.
+    commands = (
+        ["run", "table1"],
+        ["serve", "--requests", "r.json"],
+        ["serve-http"],
+        ["stream"],
+        ["perf"],
+    )
+    for command in commands:
+        for flag in ("--plan", "--fanin", "--base-size"):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(command + [flag, "2"])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core import (
-    MultiplyPlan,
     Permutation,
     multiply,
     multiply_permutations,
@@ -29,6 +28,7 @@ from repro.core import (
     random_subpermutation,
 )
 from repro.core import native
+from repro.core.seaweed import pad_to_permutations, strip_padding
 from repro.lis.semilocal import _dense_block_matrix, _patience_scores
 from repro.obs.metrics import get_registry
 from repro.service import build_lcs_index, build_lis_index
@@ -51,10 +51,9 @@ class TestNativeMultiply:
         rng = np.random.default_rng(seed)
         pa, pb = random_permutation(n, rng), random_permutation(n, rng)
         got = _native_product(pa, pb)
-        plan = MultiplyPlan(fanin=fanin, base_size=4)
-        assert got == multiply_permutations_iterative(pa, pb, plan)
+        assert got == multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=4)
         assert got == multiply_permutations_reference(pa, pb, fanin=fanin, base_size=4)
-        assert multiply_permutations(pa, pb, plan=plan) == got
+        assert multiply_permutations(pa, pb) == got
 
     def test_large_odd_size(self):
         rng = np.random.default_rng(4097)
@@ -71,7 +70,9 @@ class TestNativeMultiply:
         n1, n2, n3 = dims
         pa = random_subpermutation(n1, n2, int(rng.integers(0, min(n1, n2) + 1)), rng)
         pb = random_subpermutation(n2, n3, int(rng.integers(0, min(n2, n3) + 1)), rng)
-        assert multiply(pa, pb) == multiply(pa, pb, plan=MultiplyPlan(engine="reference"))
+        perm_a, perm_b, info = pad_to_permutations(pa, pb)
+        reference = strip_padding(multiply_permutations_reference(perm_a, perm_b), info)
+        assert multiply(pa, pb) == reference
 
     def test_malformed_operand_is_refused(self):
         bad = np.array([0, 0, 1], dtype=np.int64)

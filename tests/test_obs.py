@@ -431,6 +431,7 @@ class TestReport:
             "perf": {
                 "calibration_seconds": 0.015,
                 "multiply_speedup_vs_reference": 8.5,
+                "kernel": "native",
             },
             "points": [
                 {"params": {"case": "multiply_n256_h2"}, "metrics": {"normalized": 0.2}},
@@ -443,6 +444,7 @@ class TestReport:
         record_trend(document, str(path), commit="def5678")
         rows = load_trend(str(path))
         assert [r["commit"] for r in rows] == ["abc1234", "def5678"]
+        assert rows[0]["kernel"] == "native"
         assert rows[0]["normalized"] == {
             "multiply_n256_h2": 0.2,
             "service_batch_n512": 0.01,

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import MultiplyPlan
+from repro.core import native
 from repro.experiments.artifacts import load_artifact, validate_artifact
 from repro.experiments.cli import main as cli_main
 from repro.perf import (
@@ -52,12 +52,8 @@ class TestRunPerf:
             assert point["metrics"]["normalized"] > 0
         names = {point["params"]["case"] for point in document["points"]}
         assert "multiply_n1024_h2" in names and "multiply_reference_n1024" in names
-
-    def test_plan_is_recorded(self):
-        plan = MultiplyPlan(fanin=3, base_size=16)
-        document = run_perf(quick=True, repeats=1, plan=plan)
-        assert document["perf"]["plan"] == plan.describe()
-        assert document["fixed"]["plan"]["fanin"] == 3
+        assert "multiply_served_n1024" in names
+        assert document["perf"]["kernel"] == native.kernel_status()
 
 
 class TestRegressionGate:
@@ -98,6 +94,15 @@ class TestRegressionGate:
         assert report["only_in_current"] == ["new"]
         assert report["only_in_baseline"] == ["old"]
 
+    def test_disjoint_documents_fail(self):
+        # A gate that compares nothing must not pass.
+        baseline = self._fake_document([("old", 0.1, 1.0)])
+        current = self._fake_document([("new", 0.1, 1.0)])
+        report = compare_documents(current, baseline)
+        assert report["checked"] == 0
+        assert not report["ok"]
+        assert "no case matches the baseline" in format_report(report)
+
     def test_invalid_tolerance_rejected(self):
         doc = self._fake_document([("a", 0.1, 1.0)])
         with pytest.raises(ValueError):
@@ -133,6 +138,9 @@ class TestPerfCLI:
         document = load_artifact(str(out_path))
         assert document["experiment"] == "perf_core"
         assert cli_main(["validate", str(out_path)]) == 0
+        from repro.obs.report import render_report
+
+        assert f"(kernel: {document['perf']['kernel']})" in render_report([str(out_path)])
 
     def test_cli_gates_on_fabricated_regression(self, tmp_path):
         # A baseline claiming everything once ran ~1000x faster must trip the
@@ -147,13 +155,3 @@ class TestPerfCLI:
         code = cli_main(["perf", "--quick", "--repeats", "1",
                          "--baseline", str(baseline_path)])
         assert code == 1
-
-    def test_cli_respects_plan_knobs(self, tmp_path):
-        out_path = tmp_path / "perf-knobs.json"
-        code = cli_main(["perf", "--quick", "--repeats", "1", "--no-check",
-                         "--fanin", "3", "--base-size", "24",
-                         "--json", str(out_path)])
-        assert code == 0
-        document = load_artifact(str(out_path))
-        assert document["perf"]["plan"]["fanin"] == 3
-        assert document["perf"]["plan"]["base_size"] == 24

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    MultiplyPlan,
     Permutation,
     ScratchArena,
     SubPermutation,
-    auto_plan,
     identity_permutation,
     multiply,
     multiply_dense,
@@ -18,7 +16,6 @@ from repro.core import (
     multiply_permutations_reference,
     random_permutation,
     random_subpermutation,
-    resolve_plan,
 )
 from repro.core.seaweed import (
     block_boundaries,
@@ -26,6 +23,12 @@ from repro.core.seaweed import (
     split_into_blocks,
     strip_padding,
 )
+
+
+def _via_padding(engine, pa, pb, **knobs):
+    """``pa ⊡ pb`` through the §4.1 padding, with one NumPy engine and its knobs."""
+    perm_a, perm_b, info = pad_to_permutations(pa, pb)
+    return strip_padding(engine(perm_a, perm_b, **knobs), info)
 
 
 class TestSplit:
@@ -62,26 +65,27 @@ class TestMultiplyPermutations:
         for n in (1, 2, 3, 7, 20, 45):
             pa, pb = random_permutation(n, rng), random_permutation(n, rng)
             expected = multiply_dense(pa, pb).as_permutation()
-            got = multiply_permutations(pa, pb, base_size=4)
-            assert got == expected
+            assert multiply_permutations(pa, pb) == expected
+            assert multiply_permutations_iterative(pa, pb, base_size=4) == expected
 
     def test_all_fanins_agree(self, rng):
         pa, pb = random_permutation(40, rng), random_permutation(40, rng)
-        reference = multiply_permutations(pa, pb, fanin=2, base_size=4)
+        reference = multiply_permutations_iterative(pa, pb, fanin=2, base_size=4)
         for fanin in (3, 4, 7, 16):
-            assert multiply_permutations(pa, pb, fanin=fanin, base_size=4) == reference
+            assert multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=4) == reference
 
     def test_identity_neutral(self, rng):
         p = random_permutation(30, rng)
         ident = identity_permutation(30)
-        assert multiply_permutations(p, ident, base_size=4) == p
-        assert multiply_permutations(ident, p, base_size=4) == p
+        for engine in (multiply_permutations, multiply_permutations_iterative):
+            assert engine(p, ident) == p
+            assert engine(ident, p) == p
 
     def test_associativity(self, rng):
         n = 24
         a, b, c = (random_permutation(n, rng) for _ in range(3))
-        left = multiply_permutations(multiply_permutations(a, b, base_size=4), c, base_size=4)
-        right = multiply_permutations(a, multiply_permutations(b, c, base_size=4), base_size=4)
+        left = multiply_permutations(multiply_permutations(a, b), c)
+        right = multiply_permutations(a, multiply_permutations(b, c))
         assert left == right
 
     def test_size_mismatch(self, rng):
@@ -89,10 +93,10 @@ class TestMultiplyPermutations:
             multiply_permutations(random_permutation(3, rng), random_permutation(4, rng))
 
     def test_invalid_fanin(self, rng):
-        with pytest.raises(ValueError):
-            multiply_permutations(
-                random_permutation(4, rng), random_permutation(4, rng), fanin=1
-            )
+        pa, pb = random_permutation(4, rng), random_permutation(4, rng)
+        for engine in (multiply_permutations_iterative, multiply_permutations_reference):
+            with pytest.raises(ValueError):
+                engine(pa, pb, fanin=1)
 
     def test_empty(self):
         empty = Permutation(np.empty(0, dtype=np.int64))
@@ -128,7 +132,9 @@ class TestMultiplyGeneral:
             n1, n2, n3 = rng.integers(1, 20, size=3)
             pa = random_subpermutation(int(n1), int(n2), int(rng.integers(0, min(n1, n2) + 1)), rng)
             pb = random_subpermutation(int(n2), int(n3), int(rng.integers(0, min(n2, n3) + 1)), rng)
-            assert multiply(pa, pb, base_size=4) == multiply_dense(pa, pb)
+            expected = multiply_dense(pa, pb)
+            assert multiply(pa, pb) == expected
+            assert _via_padding(multiply_permutations_iterative, pa, pb, base_size=4) == expected
 
     def test_inner_mismatch_raises(self, rng):
         pa = random_subpermutation(4, 5, 2, rng)
@@ -145,10 +151,10 @@ class TestIterativeEngine:
     """The allocation-lean engine must be bit-identical to the reference."""
 
     def test_engine_dispatch(self, rng):
-        pa, pb = random_permutation(24, rng), random_permutation(24, rng)
-        via_plan = multiply_permutations(pa, pb, plan=MultiplyPlan(engine="reference"))
-        assert via_plan == multiply_permutations_reference(pa, pb)
-        assert multiply_permutations(pa, pb) == via_plan
+        """The served multiply equals the recursive reference."""
+        for n in (24, 200):
+            pa, pb = random_permutation(n, rng), random_permutation(n, rng)
+            assert multiply_permutations(pa, pb) == multiply_permutations_reference(pa, pb)
 
     def test_identity_and_empty(self, rng):
         p = random_permutation(30, rng)
@@ -163,28 +169,33 @@ class TestIterativeEngine:
             pa, pb = random_permutation(n, rng), random_permutation(n, rng)
             expected = multiply_permutations_reference(pa, pb, fanin=2, base_size=4)
             for fanin in (2, 3, 5, 8):
-                plan = MultiplyPlan(fanin=fanin, base_size=4)
-                assert multiply_permutations_iterative(pa, pb, plan) == expected
+                got = multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=4)
+                assert got == expected
 
     def test_shared_arena_across_calls(self, rng):
         arena = ScratchArena()
         for _ in range(5):
             n = int(rng.integers(1, 60))
             pa, pb = random_permutation(n, rng), random_permutation(n, rng)
-            got = multiply_permutations_iterative(
-                pa, pb, MultiplyPlan(base_size=4), arena=arena
-            )
+            got = multiply_permutations_iterative(pa, pb, base_size=4, arena=arena)
             assert got == multiply_permutations_reference(pa, pb, base_size=4)
         assert arena.nbytes > 0
 
     def test_subpermutations_match_reference_engine(self, rng):
-        reference_plan = MultiplyPlan(engine="reference", base_size=4)
-        iterative_plan = MultiplyPlan(base_size=4)
         for _ in range(25):
             n1, n2, n3 = rng.integers(1, 18, size=3)
             pa = random_subpermutation(int(n1), int(n2), int(rng.integers(0, min(n1, n2) + 1)), rng)
             pb = random_subpermutation(int(n2), int(n3), int(rng.integers(0, min(n2, n3) + 1)), rng)
-            assert multiply(pa, pb, plan=iterative_plan) == multiply(pa, pb, plan=reference_plan)
+            iterative = _via_padding(multiply_permutations_iterative, pa, pb, base_size=4)
+            reference = _via_padding(multiply_permutations_reference, pa, pb, base_size=4)
+            assert iterative == reference == multiply(pa, pb)
+
+    def test_reference_engine_respects_dense_table_limit(self, rng):
+        # dense_table_limit=0 forces every reference-engine merge onto the
+        # sparse color-major path; the product must be unchanged.
+        pa, pb = random_permutation(40, rng), random_permutation(40, rng)
+        sparse = multiply_permutations_reference(pa, pb, base_size=4, dense_table_limit=0)
+        assert sparse == multiply_permutations_reference(pa, pb, base_size=4)
 
     def test_empty_subpermutation_operands(self, rng):
         pa = SubPermutation.empty(5, 7)
@@ -195,44 +206,6 @@ class TestIterativeEngine:
         )
 
 
-class TestMultiplyPlan:
-    def test_resolution_and_overrides(self):
-        plan = resolve_plan(None, fanin=5, base_size=20)
-        assert plan.fanin == 5 and plan.base_size == 20 and plan.engine == "iterative"
-        assert resolve_plan("default") == MultiplyPlan()
-        assert resolve_plan(plan) is plan
-        with pytest.raises(ValueError):
-            resolve_plan("bogus")
-        with pytest.raises(ValueError):
-            MultiplyPlan(fanin=1)
-        with pytest.raises(ValueError):
-            MultiplyPlan(engine="other")
-
-    def test_auto_plan_is_cached_and_valid(self):
-        first = auto_plan(calibration_size=96)
-        second = auto_plan(calibration_size=96)
-        assert first == second  # process-wide cache
-        assert first.engine == "iterative"
-        assert first.fanin >= 2 and first.base_size >= 1
-
-    def test_reference_engine_respects_dense_table_limit(self, rng):
-        # dense_table_limit=0 forces every reference-engine merge onto the
-        # sparse color-major path; the product must be unchanged.
-        pa, pb = random_permutation(40, rng), random_permutation(40, rng)
-        sparse_plan = MultiplyPlan(engine="reference", base_size=4, dense_table_limit=0)
-        assert multiply_permutations(pa, pb, plan=sparse_plan) == (
-            multiply_permutations_reference(pa, pb, base_size=4)
-        )
-
-    def test_plan_multiply_fn_is_picklable(self, rng):
-        import pickle
-
-        fn = MultiplyPlan(fanin=3, base_size=8).multiply_fn()
-        clone = pickle.loads(pickle.dumps(fn))
-        pa, pb = random_permutation(20, rng), random_permutation(20, rng)
-        assert clone(pa, pb) == multiply_permutations_reference(pa, pb)
-
-
 class TestEngineAcrossBackends:
     def test_backends_bit_identical_with_plan(self, rng):
         """serial/thread/process leaf builds with the iterative engine agree."""
@@ -241,9 +214,7 @@ class TestEngineAcrossBackends:
         stream = rng.random(300)
         roots = []
         for backend in ("serial", "thread", "process"):
-            session = StreamingLIS(
-                window=256, leaf_size=32, backend=backend, plan=MultiplyPlan(base_size=16)
-            )
+            session = StreamingLIS(window=256, leaf_size=32, backend=backend)
             session.push(stream)
             roots.append(session.to_semilocal().matrix)
         assert roots[0] == roots[1] == roots[2]
@@ -260,7 +231,8 @@ def test_multiply_matches_dense_property(n, fanin, seed):
     rng = np.random.default_rng(seed)
     pa, pb = random_permutation(n, rng), random_permutation(n, rng)
     expected = multiply_dense(pa, pb).as_permutation()
-    assert multiply_permutations(pa, pb, fanin=fanin, base_size=4) == expected
+    assert multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=4) == expected
+    assert multiply_permutations(pa, pb) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -278,7 +250,9 @@ def test_subpermutation_multiply_property(dims, seed):
     rng = np.random.default_rng(seed)
     pa = random_subpermutation(n1, n2, int(rng.integers(0, min(n1, n2) + 1)), rng)
     pb = random_subpermutation(n2, n3, int(rng.integers(0, min(n2, n3) + 1)), rng)
-    assert multiply(pa, pb, base_size=4) == multiply_dense(pa, pb)
+    expected = multiply_dense(pa, pb)
+    assert multiply(pa, pb) == expected
+    assert _via_padding(multiply_permutations_iterative, pa, pb, base_size=4) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,8 +268,8 @@ def test_iterative_engine_bit_identity_property(n, fanin, base_size, seed):
     rng = np.random.default_rng(seed)
     pa, pb = random_permutation(n, rng), random_permutation(n, rng)
     expected = multiply_permutations_reference(pa, pb, fanin=fanin, base_size=base_size)
-    plan = MultiplyPlan(fanin=fanin, base_size=base_size)
-    assert multiply_permutations_iterative(pa, pb, plan) == expected
+    got = multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=base_size)
+    assert got == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -315,8 +289,7 @@ def test_iterative_engine_subpermutation_identity_property(dims, fanin, seed):
     rng = np.random.default_rng(seed)
     pa = random_subpermutation(n1, n2, int(rng.integers(0, min(n1, n2) + 1)), rng)
     pb = random_subpermutation(n2, n3, int(rng.integers(0, min(n2, n3) + 1)), rng)
-    iterative = multiply(pa, pb, plan=MultiplyPlan(fanin=fanin, base_size=4))
-    reference = multiply(
-        pa, pb, plan=MultiplyPlan(fanin=fanin, base_size=4, engine="reference")
-    )
+    knobs = {"fanin": fanin, "base_size": 4}
+    iterative = _via_padding(multiply_permutations_iterative, pa, pb, **knobs)
+    reference = _via_padding(multiply_permutations_reference, pa, pb, **knobs)
     assert iterative == reference == multiply_dense(pa, pb)
