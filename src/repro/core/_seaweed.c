@@ -13,8 +13,16 @@
  * repro_patience_scores: the dense score table of _dense_block_matrix,
  * scores[x][y] = #{patience tails < y} over the values >= x.
  *
+ * repro_seam_sweep: one (max,+) step of the streaming seam sweep
+ * (_sweep_one_part in streaming/aggregator.py), folding one cover part into
+ * the corner-score rows in place.  K is derived from the part's row_to_col
+ * as the column sweep goes, never read from a dense table: O(s log s + width)
+ * per row with a lazy range-add / range-max segment tree.
+ *
  * All arrays are C-contiguous int64.  Return codes: 0 ok, -1 out of memory,
- * -2 operand is not a permutation of 0..n-1.
+ * -2 operand is malformed (not a permutation of 0..n-1 for the multiply;
+ * slots not strictly increasing inside the row, or row_to_col not a
+ * sub-permutation of s columns, for the seam sweep).
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -175,5 +183,118 @@ int repro_patience_scores(i64 m, const i64 *values, i64 *scores)
         }
     }
     free(tails);
+    return 0;
+}
+
+
+/* Sentinel for "no chain reaches this corner"; _NEG_INF of aggregator.py. */
+#define SWEEP_NEG_INF (-((i64)1 << 40))
+
+/* Max segment tree over [lo, hi) whose range adds stay at the node they
+ * cover: mx[node] is the maximum of the node's range, counting the adds
+ * stored at the node and below it but not those of its ancestors. */
+static void seg_build(i64 node, i64 lo, i64 hi, const i64 *v, i64 *mx, i64 *add)
+{
+    i64 mid;
+    add[node] = 0;
+    if (hi - lo == 1) {
+        mx[node] = v[lo];
+        return;
+    }
+    mid = (lo + hi) / 2;
+    seg_build(2 * node, lo, mid, v, mx, add);
+    seg_build(2 * node + 1, mid, hi, v, mx, add);
+    mx[node] = mx[2 * node] > mx[2 * node + 1] ? mx[2 * node] : mx[2 * node + 1];
+}
+
+/* Add delta to every position of [lo, hi) below end. */
+static void seg_add_prefix(i64 node, i64 lo, i64 hi, i64 end, i64 delta, i64 *mx, i64 *add)
+{
+    i64 mid;
+    if (end <= lo) return;
+    if (end >= hi) {
+        mx[node] += delta;
+        add[node] += delta;
+        return;
+    }
+    mid = (lo + hi) / 2;
+    seg_add_prefix(2 * node, lo, mid, end, delta, mx, add);
+    seg_add_prefix(2 * node + 1, mid, hi, end, delta, mx, add);
+    mx[node] = (mx[2 * node] > mx[2 * node + 1] ? mx[2 * node] : mx[2 * node + 1]) + add[node];
+}
+
+/* Maximum over the positions of [lo, hi) below end (end > lo). */
+static i64 seg_max_prefix(i64 node, i64 lo, i64 hi, i64 end, const i64 *mx, const i64 *add)
+{
+    i64 mid, best, right;
+    if (end >= hi) return mx[node];
+    mid = (lo + hi) / 2;
+    best = seg_max_prefix(2 * node, lo, mid, end, mx, add);
+    if (end > mid) {
+        right = seg_max_prefix(2 * node + 1, mid, hi, end, mx, add);
+        if (right > best) best = right;
+    }
+    return best + add[node];
+}
+
+/*
+ * D is rows x width (the corner scores D[r][v] of the parts before this
+ * one); slots[p] is the global rank of the part's p-th key; row_to_col is
+ * the part's s x s value-interval sub-permutation (-1 marks an empty row).
+ * With K(p, q) = #{points (i, j) : i >= p, j < q}, every row becomes
+ *
+ *   H[q]  = max(NEG_INF, q + max_{p < q} (D[slots[p]] - p - K(p, q))),
+ *   D'[v] = max(D[v], H[a(v)]),  a(v) = #{p : slots[p] < v}.
+ *
+ * The tree holds V[p] = D[slots[p]] - p - K(p, q) for the current q;
+ * stepping q -> q + 1 adds the point in column q, which subtracts 1 from
+ * V[0 .. its row].
+ */
+int repro_seam_sweep(i64 rows, i64 width, i64 *D, i64 s, const i64 *slots,
+                     const i64 *row_to_col)
+{
+    i64 r, p, q, v, a, *ws, *col_row, *vals, *h, *mx, *add;
+
+    if (s <= 0 || rows <= 0) return 0;
+    for (p = 0; p < s; p++) {
+        if (slots[p] < 0 || slots[p] >= width || (p > 0 && slots[p] <= slots[p - 1]))
+            return -2;
+        if (row_to_col[p] < -1 || row_to_col[p] >= s) return -2;
+    }
+    ws = malloc(sizeof(i64) * (size_t)(11 * s + 1));
+    if (ws == NULL) return -1;
+    col_row = ws;
+    vals = ws + s;
+    h = ws + 2 * s;
+    mx = ws + 3 * s + 1;
+    add = ws + 7 * s + 1;
+    for (q = 0; q < s; q++) col_row[q] = -1;
+    for (p = 0; p < s; p++) {
+        i64 c = row_to_col[p];
+        if (c < 0) continue;
+        if (col_row[c] >= 0) {
+            free(ws);
+            return -2;
+        }
+        col_row[c] = p;
+    }
+    for (r = 0; r < rows; r++) {
+        i64 *row = D + r * width;
+        for (p = 0; p < s; p++) vals[p] = row[slots[p]] - p;
+        seg_build(1, 0, s, vals, mx, add);
+        h[0] = SWEEP_NEG_INF;
+        for (q = 0; q < s; q++) {
+            i64 best;
+            if (col_row[q] >= 0) seg_add_prefix(1, 0, s, col_row[q] + 1, -1, mx, add);
+            best = q + 1 + seg_max_prefix(1, 0, s, q + 1, mx, add);
+            h[q + 1] = best > SWEEP_NEG_INF ? best : SWEEP_NEG_INF;
+        }
+        a = 0;
+        for (v = 0; v < width; v++) {
+            while (a < s && slots[a] < v) a++;
+            if (h[a] > row[v]) row[v] = h[a];
+        }
+    }
+    free(ws);
     return 0;
 }

@@ -59,6 +59,9 @@ class NativeKernel:
         self._scores = self._lib.repro_patience_scores
         self._scores.argtypes = [ctypes.c_int64, _I64P, _I64P]
         self._scores.restype = ctypes.c_int
+        self._sweep = self._lib.repro_seam_sweep
+        self._sweep.argtypes = [ctypes.c_int64, ctypes.c_int64, _I64P, ctypes.c_int64, _I64P, _I64P]
+        self._sweep.restype = ctypes.c_int
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         """Row-to-column array of ``P_A ⊡ P_B``; ``None`` if an operand is malformed."""
@@ -85,6 +88,26 @@ class NativeKernel:
         if self._scores(m, values, scores) != 0:
             raise MemoryError("native patience scores could not allocate")
         return scores
+
+    def seam_sweep(self, D: np.ndarray, row_to_col: np.ndarray, slots: np.ndarray) -> None:
+        """Fold one cover part into the corner-score rows ``D`` in place.
+
+        ``D`` is a C-contiguous ``(rows, width)`` int64 array; ``row_to_col``
+        is the part's ``s x s`` sub-permutation, ``slots`` its keys' strictly
+        increasing global ranks (``< width``).
+        """
+        if D.dtype != np.int64 or D.ndim != 2 or not D.flags.c_contiguous:
+            raise ValueError("D must be a C-contiguous 2-d int64 array")
+        row_to_col = np.ascontiguousarray(row_to_col, dtype=np.int64)
+        slots = np.ascontiguousarray(slots, dtype=np.int64)
+        s = len(slots)
+        if row_to_col.shape != (s,) or slots.ndim != 1:
+            raise ValueError("row_to_col and slots must be 1-d arrays of the same size")
+        status = self._sweep(D.shape[0], D.shape[1], D, s, slots, row_to_col)
+        if status == -2:
+            raise ValueError("seam sweep operands are malformed")
+        if status != 0:
+            raise MemoryError("native seam sweep could not allocate its workspace")
 
 
 def cache_dir() -> Path:

@@ -77,6 +77,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.report import format_block, format_table
+from ..core.native import kernel_status
 from ..mpc.engine import backend_names
 from ..service import (
     DEFAULT_CACHE_BYTES,
@@ -968,9 +969,10 @@ def _stream_artifact(args, session, points, seconds: float) -> Dict[str, Any]:
     """The streaming outcome as a schema-v1 document (+ ``streaming`` section).
 
     Per-tick rows become grid points of an ad-hoc ``stream`` spec; the
-    session configuration and the aggregator's cost counters (multiplies
-    performed, blocks rebuilt, node-store bytes) ride along in the additive
-    ``streaming`` field.
+    session configuration and the engine that timed it (``fixed.kernel``:
+    ``'native'`` or ``'numpy'``) are fixed parameters; the aggregator's cost
+    counters (multiplies performed, blocks rebuilt, node-store bytes) ride
+    along in the additive ``streaming`` field.
     """
     spec = ExperimentSpec(
         name="stream",
@@ -994,6 +996,7 @@ def _stream_artifact(args, session, points, seconds: float) -> Dict[str, Any]:
             "seed": int(args.seed),
             "strict": not args.non_strict,
             "backend": args.backend or "serial",
+            "kernel": kernel_status(),
         },
         quick=False,
         workers=1,

@@ -29,7 +29,10 @@ to 1: all service work funnels through one worker thread guarded by an
 the semaphore and the executor both widen to N, so N vectorised passes
 (bound for different shards) overlap while the event loop stays free.
 Streaming sessions remain single-threaded objects regardless, so each
-session additionally holds a private per-session lock.
+session additionally holds a private per-session lock.  Every session
+reply — create, push and both GETs — is computed on the service thread
+under that lock: the state document runs a ``lis_length`` seam sweep, which
+must neither block the event loop nor read a session a push is mutating.
 
 The semaphore is what makes **coalescing** profitable: while the service
 slots are busy, every new request against the same
@@ -566,9 +569,9 @@ class ServerCore:
             if path.startswith("/builds/"):
                 return self._get_build(path[len("/builds/"):])
             if path == "/sessions":
-                return {"sessions": [self._session_state(sid) for sid in self._sessions]}
+                return await self._list_sessions()
             if path.startswith("/sessions/"):
-                return self._session_state(self._session_id(path))
+                return await self._get_session(self._session_id(path))
             raise _HttpError(404, f"no route for GET {path}")
         if method == "POST":
             document = self._decode(body)
@@ -1073,12 +1076,16 @@ class ServerCore:
         initial_symbols = (
             self._symbols(initial, "'push'") if initial is not None else None
         )
+
+        def push_then_state() -> Dict[str, Any]:
+            if initial_symbols is not None:
+                session.push(initial_symbols)
+            return self._session_state(sid)
+
         async with self._session_lock(sid), self._service_lock:
             self._sessions[sid] = session
             self._session_meta[sid] = meta
-            if initial_symbols is not None:
-                await self._in_service_thread(session.push, initial_symbols)
-        return self._session_state(sid)
+            return await self._in_service_thread(push_then_state)
 
     async def _push_session(self, sid: str, document: Any) -> Dict[str, Any]:
         session = self._sessions.get(sid)
@@ -1087,13 +1094,31 @@ class ServerCore:
         if not isinstance(document, dict) or "symbols" not in document:
             raise _HttpError(400, "push needs a JSON object with 'symbols'")
         symbols = self._symbols(document["symbols"], "'symbols'")
+
+        def push_then_state() -> Dict[str, Any]:
+            dropped = session.push(symbols)
+            return {**self._session_state(sid), "dropped": int(dropped)}
+
         async with self._session_lock(sid), self._service_lock:
-            dropped = await self._in_service_thread(session.push, symbols)
-        state = self._session_state(sid)
-        state["dropped"] = int(dropped)
-        return state
+            return await self._in_service_thread(push_then_state)
+
+    async def _get_session(self, sid: str) -> Dict[str, Any]:
+        if sid not in self._sessions:
+            raise _HttpError(404, f"unknown session {sid!r}")
+        async with self._session_lock(sid), self._service_lock:
+            return await self._in_service_thread(self._session_state, sid)
+
+    async def _list_sessions(self) -> Dict[str, Any]:
+        states = []
+        for sid in list(self._sessions):
+            try:
+                states.append(await self._get_session(sid))
+            except _HttpError:  # deleted while this listing waited
+                continue
+        return {"sessions": states}
 
     def _session_state(self, sid: str) -> Dict[str, Any]:
+        """The session's state document; service thread, under the session lock."""
         session = self._sessions.get(sid)
         if session is None:
             raise _HttpError(404, f"unknown session {sid!r}")

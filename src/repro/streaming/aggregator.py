@@ -24,7 +24,11 @@ monoid structure for streams:
   factorisation ``T(x, y) = max_v (T_left(x, v) + T_right(v, y))`` across the
   cover without materialising any product.  The true root product (needed for
   window sweeps, snapshots and the service refresh path) is folded on demand
-  and cached until the next mutation.
+  and cached until the next mutation.  Each sweep step runs the compiled
+  ``repro_seam_sweep`` kernel when :func:`repro.core.native.kernel` has
+  loaded it (O(s log s) per corner row, reading only the part's
+  sub-permutation); the NumPy step, which needs every part's dense
+  distribution table, is the fallback and the oracle.
 
 Leaf builds are dispatched through the PR-2 execution engine
 (:mod:`repro.mpc.engine`), so ``backend='thread'`` parallelises multi-leaf
@@ -38,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core import native
 from ..core.permutation import SubPermutation
 from ..core.seaweed import multiply
 from ..lis.semilocal import (
@@ -91,9 +96,10 @@ class BlockProduct:
     ``matrix`` is the value-interval sub-permutation over the run's compacted
     rank universe; ``key_values`` / ``key_ties`` are the run's keys sorted by
     ``(value, tie)`` — rank ``t`` of the universe is the ``t``-th key pair.
-    The dense distribution matrix used by the seam sweep is materialised
-    lazily and counted in :attr:`nbytes` (it is the dominant resident cost of
-    hot nodes).
+    The dense distribution matrix is built only by the NumPy seam sweep (the
+    fallback when the compiled kernel is not loaded); it is materialised
+    lazily and counted in :attr:`nbytes`, where it is the dominant resident
+    cost of hot nodes.
     """
 
     __slots__ = ("matrix", "key_values", "key_ties", "_dense")
@@ -212,6 +218,20 @@ def _part_slots(parts: Sequence[BlockProduct]) -> Tuple[int, List[np.ndarray]]:
 def _sweep_one_part(D: np.ndarray, part: BlockProduct, slots: np.ndarray) -> np.ndarray:
     """One (max,+) step of the seam sweep: fold ``part`` into the corner rows.
 
+    Runs the compiled kernel when it has loaded — it updates ``D`` in place
+    and returns it — otherwise :func:`_sweep_one_part_numpy`.  Both give the
+    same rows, bit for bit.
+    """
+    compiled = native.kernel()
+    if compiled is not None:
+        compiled.seam_sweep(D, part.matrix.row_to_col, slots)
+        return D
+    return _sweep_one_part_numpy(D, part, slots)
+
+
+def _sweep_one_part_numpy(D: np.ndarray, part: BlockProduct, slots: np.ndarray) -> np.ndarray:
+    """The NumPy seam-sweep step (the kernel's fallback and oracle).
+
     ``D[r, v]`` is the best score of a chain through the previous parts whose
     last rank is ``< v`` (one row per simultaneous left corner); the step
     computes ``D'(v) = max(D(v), max_{p < a(v)} [D(e_p) + S(p, a(v))])``
@@ -219,7 +239,7 @@ def _sweep_one_part(D: np.ndarray, part: BlockProduct, slots: np.ndarray) -> np.
     is the part's local semi-local score ``(q - p) - K(p, q)``.  Because
     every row of ``D`` is non-decreasing, the best threshold inside bucket
     ``p`` is its right endpoint ``e_p`` — which is what makes the step a
-    dense vectorised pass.
+    dense vectorised pass.  Returns a new array; ``D`` is not modified.
     """
     s = part.size
     if s == 0:
@@ -255,8 +275,9 @@ def multi_cover_scores(
     precomputed global key ranks ``slots``; ``xs`` are the left corners (one
     output row each).  This is the (max,+) expansion of the ⊡ product
     restricted to corner rows — answers are identical to querying the
-    multiplied-out root product, at O(rows · sum of part sizes squared)
-    vectorised work instead of a chain of full multiplications.
+    multiplied-out root product, at O(rows · (m + s log s)) work per part of
+    size ``s`` on the compiled kernel (O(rows · s²) on the NumPy fallback)
+    instead of a chain of full multiplications.
     """
     xs = np.asarray(xs, dtype=np.int64)
     corners = np.arange(m + 1, dtype=np.int64)
@@ -442,10 +463,11 @@ class SeaweedAggregator:
         self._root_version = -1
         self._root_semilocal: Optional[SemiLocalLIS] = None
         self._cover_cache = None
+        self._live = 0
 
     # ------------------------------------------------------------------ sizing
     def __len__(self) -> int:
-        return sum(leaf.live for leaf in self._leaves)
+        return self._live
 
     @property
     def size(self) -> int:
@@ -506,6 +528,7 @@ class SeaweedAggregator:
             if leaf not in touched:
                 touched.append(leaf)
         self._next_arrival += len(values)
+        self._live += len(values)
         self.stats.elements_appended += len(values)
         # Rebuild every touched leaf product through the execution engine —
         # a multi-leaf append is an embarrassingly parallel local phase.  The
@@ -540,6 +563,7 @@ class SeaweedAggregator:
             if head.live == 0:
                 self._leaves.pop(0)
                 del self._leaf_by_id[head.leaf_id]
+        self._live -= dropped
         self.stats.elements_evicted += dropped
         if dropped:
             self.store.prune_before(self._first_full_leaf_id())
@@ -719,7 +743,7 @@ class SeaweedAggregator:
         Every query of one tick shares the same cover and relabelling, so the
         O(m log m) key merge happens once per mutation, not once per query.
         """
-        if getattr(self, "_cover_cache", None) is not None and self._cover_cache[0] == self._version:
+        if self._cover_cache is not None and self._cover_cache[0] == self._version:
             return self._cover_cache[1:]
         parts = self._cover()
         m, slots = _part_slots(parts)

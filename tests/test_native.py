@@ -1,9 +1,10 @@
 """Tests for the compiled seaweed kernel (:mod:`repro.core.native`).
 
 The kernel must be bit-identical to its oracles: the NumPy iterative engine
-and the recursive reference engine for the ⊡ product, and the Python
-patience loop for the dense-block score table.  With the loader forced to
-fail, every build must fall back to the NumPy path with identical results.
+and the recursive reference engine for the ⊡ product, the Python patience
+loop for the dense-block score table, and the NumPy seam-sweep step for the
+streaming sweep.  With the loader forced to fail, every build must fall
+back to the NumPy path with identical results.
 """
 
 import contextlib
@@ -32,6 +33,12 @@ from repro.core.seaweed import pad_to_permutations, strip_padding
 from repro.lis.semilocal import _dense_block_matrix, _patience_scores
 from repro.obs.metrics import get_registry
 from repro.service import build_lcs_index, build_lis_index
+from repro.streaming.aggregator import (
+    _NEG_INF,
+    _part_slots,
+    _sweep_one_part_numpy,
+    build_block_product,
+)
 
 needs_kernel = pytest.mark.skipif(
     native.kernel() is None, reason="compiled seaweed kernel unavailable (no gcc?)"
@@ -101,6 +108,74 @@ class TestNativePatienceScores:
         compiled = _dense_block_matrix(split, index)
         with forced_fallback():
             assert _dense_block_matrix(split, index) == compiled
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A cover of block products, one part to sweep, and corner rows ``D``.
+
+    Values are strict or non-strict and often duplicated; about half the
+    parts are ad-hoc partial leaves (a slice of a run), whose value-interval
+    sub-permutations have empty rows.  Parts of size 0 and 1 occur, and the
+    rows of ``D`` start at ``_NEG_INF`` left of their corner, as in
+    :func:`repro.streaming.aggregator.multi_cover_scores`.
+    """
+    strict = draw(st.booleans())
+    alphabet = draw(st.integers(1, 40))
+    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    parts = []
+    arrival = 0
+    for size in sizes:
+        values = draw(st.lists(st.integers(0, alphabet - 1), min_size=size, max_size=size))
+        lo = draw(st.integers(0, size))
+        hi = draw(st.integers(lo, size)) if draw(st.booleans()) else size
+        arrivals = np.arange(arrival + lo, arrival + hi, dtype=np.int64)
+        arrival += size
+        parts.append(build_block_product(
+            np.asarray(values[lo:hi], dtype=np.float64), -arrivals if strict else arrivals
+        ))
+    m, slots = _part_slots(parts)
+    target = draw(st.integers(0, len(parts) - 1))
+    corners = np.arange(m + 1, dtype=np.int64)
+    xs = np.asarray(draw(st.lists(st.integers(0, m), min_size=1, max_size=17)), dtype=np.int64)
+    D = np.where(corners[None, :] >= xs[:, None], np.int64(0), _NEG_INF)
+    # Scores of the parts before the target: non-decreasing along each row.
+    bumps = draw(st.lists(st.integers(0, 3), min_size=m + 1, max_size=m + 1))
+    D = np.where(D == 0, np.cumsum(np.asarray(bumps, dtype=np.int64))[None, :], D)
+    return D, parts[target], slots[target]
+
+
+@needs_kernel
+class TestNativeSeamSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_sweep_cases())
+    def test_matches_numpy_step(self, case):
+        D, part, slots = case
+        expected = _sweep_one_part_numpy(D.copy(), part, slots)
+        got = D.copy()
+        native.kernel().seam_sweep(got, part.matrix.row_to_col, slots)
+        assert np.array_equal(got, expected)
+
+    def test_kernel_path_builds_no_dense_table(self):
+        from repro.streaming import StreamingLIS
+
+        session = StreamingLIS(window=512)
+        session.push(np.random.default_rng(3).integers(0, 100, size=600))
+        session.lis_length()
+        products = list(session.aggregator.store._entries.values())
+        assert products and all(product._dense is None for product in products)
+
+    def test_malformed_operands_are_refused(self):
+        D = np.zeros((1, 4), dtype=np.int64)
+        sweep = native.kernel().seam_sweep
+        with pytest.raises(ValueError):
+            sweep(D, np.array([0, 1]), np.array([2, 1]))  # slots not increasing
+        with pytest.raises(ValueError):
+            sweep(D, np.array([0, 1]), np.array([1, 4]))  # slot past the row
+        with pytest.raises(ValueError):
+            sweep(D, np.array([1, 1]), np.array([0, 1]))  # column used twice
+        with pytest.raises(ValueError):
+            sweep(D.astype(np.int32), np.array([0]), np.array([0]))
 
 
 @contextlib.contextmanager

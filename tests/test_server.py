@@ -597,6 +597,60 @@ class TestSessions:
         finally:
             handle.stop()
 
+    def test_get_waits_for_a_running_push(self):
+        pushing, release = threading.Event(), threading.Event()
+        handle = start_server()
+        try:
+            status, _, state = post_json(
+                handle.url + "/sessions", {"kind": "lis", "window": 6, "push": [3, 1, 4]}
+            )
+            assert status == 200
+            sid = state["id"]
+            session = handle.core._sessions[sid]
+            original_push = session.push
+
+            def blocked_push(symbols):
+                pushing.set()
+                assert release.wait(10)
+                return original_push(symbols)
+
+            session.push = blocked_push
+            replies = {}
+
+            def call(name, fn, *args):
+                replies[name] = fn(*args)
+
+            pusher = threading.Thread(
+                target=call,
+                args=("push", post_json, handle.url + f"/sessions/{sid}/push", {"symbols": [5, 9]}),
+            )
+            pusher.start()
+            assert pushing.wait(10)
+            getters = [
+                threading.Thread(target=call, args=("get", get_json, handle.url + f"/sessions/{sid}")),
+                threading.Thread(target=call, args=("list", get_json, handle.url + "/sessions")),
+            ]
+            for getter in getters:
+                getter.start()
+            time.sleep(0.2)
+            assert not replies, "a GET answered while the push held the session"
+            release.set()
+            for thread in [pusher, *getters]:
+                thread.join(10)
+                assert not thread.is_alive()
+            status, _, pushed = replies["push"]
+            assert status == 200 and pushed["size"] == 5 and pushed["ticks"] == 2
+            status, _, fetched = replies["get"]
+            assert status == 200
+            assert (fetched["size"], fetched["ticks"]) == (5, 2)
+            assert fetched["answer"] == pushed["answer"] == 4
+            status, _, listing = replies["list"]
+            assert status == 200
+            assert [(s["size"], s["ticks"]) for s in listing["sessions"]] == [(5, 2)]
+        finally:
+            release.set()
+            handle.stop()
+
     def test_lcs_session_against_dp_oracle(self):
         from repro.lcs import lcs_length_dp
         from repro.workloads import make_string_pair

@@ -205,6 +205,19 @@ class TestSeaweedAggregator:
         with pytest.raises(ValueError):
             agg.evict(-1)
 
+    def test_live_count_tracks_the_window(self):
+        rng = np.random.default_rng(11)
+        agg = SeaweedAggregator(leaf_size=8)
+        for _ in range(30):
+            op = rng.integers(0, 3)
+            if op == 0 or len(agg) == 0:
+                agg.append(rng.integers(0, 20, size=int(rng.integers(0, 20))).astype(float))
+            elif op == 1:
+                agg.evict(int(rng.integers(0, 12)))
+            else:
+                agg.update(int(rng.integers(0, len(agg))), float(rng.integers(0, 20)))
+            assert len(agg) == len(agg.window_values()) == agg.counters()["window"]
+
     def test_node_store_accounting(self):
         store = NodeStore()
         block = build_block_product(np.asarray([2.0, 1.0, 3.0]), -np.arange(3))
@@ -381,6 +394,7 @@ class TestStreamCLI:
         document = load_artifact(str(artifact))
         assert document["experiment"] == "stream"
         assert document["fixed"]["seed"] == 5
+        assert document["fixed"]["kernel"] in ("native", "numpy")
         assert len(document["points"]) == 3
         assert "streaming" in document and document["streaming"]["window"] == 128
         out = capsys.readouterr().out
