@@ -10,8 +10,11 @@
  * _staircase_merge_kernel (Lemma 3.2 at H = 2, Lemma 3.10 for the points
  * that survive unchanged).  O(n log n) time, 12n + 64 words of workspace.
  *
- * repro_patience_scores: the dense score table of _dense_block_matrix,
- * scores[x][y] = #{patience tails < y} over the values >= x.
+ * repro_semilocal_build: the whole recursion of _build_recursive in
+ * lis/semilocal.py (stable split, compaction of the index coordinates, dense
+ * patience leaves, embedding, §4.1 padding, the ⊡ above and the strip) over
+ * one workspace allocated per call.  Returns the root's row_to_col and the
+ * number of ⊡ products it ran.
  *
  * repro_seam_sweep: one (max,+) step of the streaming seam sweep
  * (_sweep_one_part in streaming/aggregator.py), folding one cover part into
@@ -21,8 +24,9 @@
  *
  * All arrays are C-contiguous int64.  Return codes: 0 ok, -1 out of memory,
  * -2 operand is malformed (not a permutation of 0..n-1 for the multiply;
- * slots not strictly increasing inside the row, or row_to_col not a
- * sub-permutation of s columns, for the seam sweep).
+ * repeated index coordinates for the build; slots not strictly increasing
+ * inside the row, or row_to_col not a sub-permutation of s columns, for the
+ * seam sweep).
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -157,16 +161,59 @@ int repro_seaweed_multiply(i64 n, const i64 *a, const i64 *b, i64 *out)
     return 0;
 }
 
-int repro_patience_scores(i64 m, const i64 *values, i64 *scores)
+/* Stable argsort: order[k] is the position of the k-th smallest key, equal
+ * keys kept in position order (np.argsort(kind="stable")).  Bottom-up merge
+ * sort; tmp holds m words. */
+static void stable_argsort(i64 m, const i64 *key, i64 *order, i64 *tmp)
 {
-    i64 x, y, k, len, p;
-    i64 *tails = malloc(sizeof(i64) * (size_t)(m + 1));
+    i64 width, lo, k, *src = order, *dst = tmp, *swap;
+    for (k = 0; k < m; k++) order[k] = k;
+    for (width = 1; width < m; width *= 2) {
+        for (lo = 0; lo < m; lo += 2 * width) {
+            i64 mid = lo + width < m ? lo + width : m;
+            i64 hi = lo + 2 * width < m ? lo + 2 * width : m;
+            i64 i = lo, j = mid;
+            for (k = lo; k < hi; k++) {
+                if (i < mid && (j >= hi || key[src[i]] <= key[src[j]])) dst[k] = src[i++];
+                else dst[k] = src[j++];
+            }
+        }
+        swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != order) memcpy(order, src, sizeof(i64) * (size_t)m);
+}
 
-    if (tails == NULL) return -1;
-    for (x = 0; x <= m; x++) {
-        len = 0;
-        for (k = 0; k < m; k++) {
-            i64 v = values[k], left = 0, right = len;
+/* Dense leaf of _build_recursive (the _dense_block_matrix construction):
+ * for every left endpoint x a patience pass over the block's values >= x
+ * gives T(x, y) = #{tails < y}; the block matrix is the finite difference of
+ * K = span - T.  seq holds the block's distinct global ranks in split order;
+ * rtc gets the matrix over the block's compacted universe and sorted the
+ * ranks in increasing order.  ws holds 4s + 3 words. */
+static void build_leaf(i64 s, const i64 *seq, i64 *rtc, i64 *sorted, i64 *ws)
+{
+    i64 *compact = ws, *tails = ws + s, *cur = ws + 2 * s + 1, *next = ws + 3 * s + 2, *swap;
+    i64 k, x, y;
+
+    for (k = 0; k < s; k++) { /* insertion sort: s is at most the block size */
+        i64 v = seq[k], j = k;
+        while (j > 0 && sorted[j - 1] > v) { sorted[j] = sorted[j - 1]; j--; }
+        sorted[j] = v;
+    }
+    for (k = 0; k < s; k++) {
+        i64 left = 0, right = s;
+        while (left < right) {
+            i64 half = (left + right) / 2;
+            if (sorted[half] < seq[k]) left = half + 1;
+            else right = half;
+        }
+        compact[k] = left;
+    }
+    for (x = s; x >= 0; x--) {
+        i64 len = 0, p = 0;
+        for (k = 0; k < s; k++) {
+            i64 v = compact[k], left = 0, right = len;
             if (v < x) continue;
             while (left < right) { /* bisect_left */
                 i64 half = (left + right) / 2;
@@ -176,16 +223,146 @@ int repro_patience_scores(i64 m, const i64 *values, i64 *scores)
             tails[left] = v;
             if (left == len) len++;
         }
-        p = 0;
-        for (y = 0; y <= m; y++) {
+        for (y = 0; y <= s; y++) {
             while (p < len && tails[p] < y) p++;
-            scores[x * (m + 1) + y] = p;
+            cur[y] = p;
         }
+        if (x < s) {
+            /* Row x of the density of dist(x, y) = y > x ? (y - x) - T(x, y) : 0:
+             * zero left of x, 1 - T(x, x + 1) at x, and the spans cancel
+             * right of it. */
+            rtc[x] = cur[x + 1] != 1 ? x : -1;
+            for (y = x + 1; y < s; y++)
+                if (cur[y] - cur[y + 1] + next[y + 1] - next[y] != 0) rtc[x] = y;
+        }
+        swap = cur;
+        cur = next;
+        next = swap;
     }
-    free(tails);
-    return 0;
 }
 
+/* P_A ⊡ P_B for s x s sub-permutations (row_to_col, -1 = empty row): pad
+ * both to full permutations (§4.1, pad_to_permutations), multiply, strip
+ * the padding (strip_padding).  ws holds 18s + 64 words. */
+static void multiply_sub(i64 s, const i64 *a, const i64 *b, i64 *out, i64 *ws)
+{
+    i64 *kept_rows = ws, *kept_cols = ws + s, *pa = ws + 2 * s, *pb = ws + 3 * s;
+    i64 *tmp = ws + 4 * s, *prod = ws + 5 * s, *rest = ws + 6 * s;
+    i64 r, c, k, n1 = 0, n3 = 0, next;
+
+    for (c = 0; c < s; c++) tmp[c] = 0;
+    for (r = 0; r < s; r++) {
+        if (a[r] < 0) continue;
+        kept_rows[n1++] = r;
+        tmp[a[r]] = 1;
+    }
+    /* P_A gains s - n1 rows in front, covering its empty columns. */
+    next = 0;
+    for (c = 0; c < s; c++)
+        if (!tmp[c]) pa[next++] = c;
+    for (k = 0; k < n1; k++) pa[s - n1 + k] = a[kept_rows[k]];
+    /* P_B gains s - n3 columns at the back, covering its empty rows. */
+    for (c = 0; c < s; c++) tmp[c] = -1;
+    for (r = 0; r < s; r++)
+        if (b[r] >= 0) tmp[b[r]] = r;
+    for (r = 0; r < s; r++) pb[r] = -1;
+    for (c = 0; c < s; c++) {
+        if (tmp[c] < 0) continue;
+        kept_cols[n3] = c;
+        pb[tmp[c]] = n3++;
+    }
+    next = n3;
+    for (r = 0; r < s; r++)
+        if (pb[r] < 0) pb[r] = next++;
+
+    multiply_rec(s, pa, pb, prod, rest);
+    for (r = 0; r < s; r++) out[r] = -1;
+    for (r = s - n1; r < s; r++)
+        if (prod[r] < n3) out[kept_rows[r - (s - n1)]] = kept_cols[prod[r]];
+}
+
+/* Workspace words build_node needs for a block of s elements. */
+static i64 build_need(i64 s, i64 dense)
+{
+    i64 mid = s / 2, left, right, merge = 21 * s + 64;
+    if (s <= 1 || s <= dense) return 4 * s + 3;
+    left = build_need(mid, dense);
+    right = build_need(s - mid, dense);
+    if (right > left) left = right;
+    return 2 * s + (left > merge ? left : merge);
+}
+
+/* One node of _build_recursive: the block seq[0..s) (distinct global ranks
+ * in split order) is halved in split order, both halves are built, embedded
+ * into the block's compacted universe through the merge of their sorted
+ * ranks (embed_into_universe) and multiplied. */
+static void build_node(i64 s, const i64 *seq, i64 dense, i64 *rtc, i64 *sorted,
+                       i64 *ws, i64 *products)
+{
+    i64 mid = s / 2, s2 = s - mid, i, j, k;
+    i64 *rtc1 = ws, *sorted1 = ws + mid, *rtc2 = ws + 2 * mid, *sorted2 = ws + 2 * mid + s2;
+    i64 *rest = ws + 2 * s, *slots1 = rest, *slots2 = rest + mid;
+    i64 *ea = rest + s, *eb = rest + 2 * s;
+
+    if (s <= 1 || s <= dense) {
+        build_leaf(s, seq, rtc, sorted, ws);
+        return;
+    }
+    build_node(mid, seq, dense, rtc1, sorted1, rest, products);
+    build_node(s2, seq + mid, dense, rtc2, sorted2, rest, products);
+    i = j = 0;
+    for (k = 0; k < s; k++) {
+        if (j >= s2 || (i < mid && sorted1[i] < sorted2[j])) {
+            slots1[i] = k;
+            sorted[k] = sorted1[i++];
+        } else {
+            slots2[j] = k;
+            sorted[k] = sorted2[j++];
+        }
+    }
+    /* Each half's points move through its slots; the other half's
+     * coordinates get diagonal points. */
+    for (i = 0; i < mid; i++) {
+        ea[slots1[i]] = rtc1[i] < 0 ? -1 : slots1[rtc1[i]];
+        eb[slots1[i]] = slots1[i];
+    }
+    for (j = 0; j < s2; j++) {
+        ea[slots2[j]] = slots2[j];
+        eb[slots2[j]] = rtc2[j] < 0 ? -1 : slots2[rtc2[j]];
+    }
+    multiply_sub(s, ea, eb, rtc, rest + 3 * s);
+    (*products)++;
+}
+
+int repro_semilocal_build(i64 m, const i64 *split, const i64 *index, i64 dense,
+                          i64 *out, i64 *products)
+{
+    i64 k, *ws, *order, *tmp, *by_index, *seq, *sorted;
+
+    *products = 0;
+    if (m <= 0) return 0;
+    ws = malloc(sizeof(i64) * (size_t)(5 * m + build_need(m, dense)));
+    if (ws == NULL) return -1;
+    order = ws;
+    tmp = ws + m;
+    by_index = ws + 2 * m;
+    seq = ws + 3 * m;
+    sorted = ws + 4 * m;
+    /* Compact the index coordinates to ranks 0..m-1; they must be distinct. */
+    stable_argsort(m, index, by_index, tmp);
+    for (k = 1; k < m; k++) {
+        if (index[by_index[k]] == index[by_index[k - 1]]) {
+            free(ws);
+            return -2;
+        }
+    }
+    for (k = 0; k < m; k++) tmp[by_index[k]] = k;
+    stable_argsort(m, split, order, by_index);
+    for (k = 0; k < m; k++) seq[k] = tmp[order[k]];
+    build_node(m, seq, dense, out, sorted, ws + 5 * m, products);
+    free(ws);
+    return 0;
+}
 
 /* Sentinel for "no chain reaches this corner"; _NEG_INF of aggregator.py. */
 #define SWEEP_NEG_INF (-((i64)1 << 40))

@@ -1,5 +1,10 @@
 """The compiled seaweed kernel (``_seaweed.c``), built with gcc and loaded via ctypes.
 
+:class:`NativeKernel` has three entry points: the full-permutation ⊡ product
+(:meth:`~NativeKernel.multiply`), the whole semi-local LIS build of
+``lis/semilocal.py`` (:meth:`~NativeKernel.semilocal_build`) and one step of
+the streaming seam sweep (:meth:`~NativeKernel.seam_sweep`).
+
 :func:`kernel` returns the process-wide :class:`NativeKernel`, or ``None``
 when it cannot be had (no compiler, a failed build, a failed load).  The
 first call builds the shared object once per source hash into the per-user
@@ -26,7 +31,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,9 +61,11 @@ class NativeKernel:
         self._multiply = self._lib.repro_seaweed_multiply
         self._multiply.argtypes = [ctypes.c_int64, _I64P, _I64P, _I64P]
         self._multiply.restype = ctypes.c_int
-        self._scores = self._lib.repro_patience_scores
-        self._scores.argtypes = [ctypes.c_int64, _I64P, _I64P]
-        self._scores.restype = ctypes.c_int
+        self._build = self._lib.repro_semilocal_build
+        self._build.argtypes = [
+            ctypes.c_int64, _I64P, _I64P, ctypes.c_int64, _I64P, ctypes.POINTER(ctypes.c_int64)
+        ]
+        self._build.restype = ctypes.c_int
         self._sweep = self._lib.repro_seam_sweep
         self._sweep.argtypes = [ctypes.c_int64, ctypes.c_int64, _I64P, ctypes.c_int64, _I64P, _I64P]
         self._sweep.restype = ctypes.c_int
@@ -78,16 +85,29 @@ class NativeKernel:
             raise MemoryError("native seaweed multiply could not allocate its workspace")
         return out
 
-    def patience_scores(self, values: np.ndarray) -> np.ndarray:
-        """``(m+1, m+1)`` table: ``[x, y]`` = patience tails ``< y`` over values ``>= x``."""
-        values = np.ascontiguousarray(values, dtype=np.int64)
-        if values.ndim != 1:
-            raise ValueError("values must be a 1-d array")
-        m = len(values)
-        scores = np.empty((m + 1, m + 1), dtype=np.int64)
-        if self._scores(m, values, scores) != 0:
-            raise MemoryError("native patience scores could not allocate")
-        return scores
+    def semilocal_build(
+        self, split: np.ndarray, index: np.ndarray, dense_block_size: int
+    ) -> Optional[Tuple[np.ndarray, int]]:
+        """The block matrix of ``_build_recursive`` and its number of ⊡ products.
+
+        ``split`` and ``index`` are the elements' integer split and index
+        coordinates; the matrix is over the compacted index universe.
+        Returns ``(row_to_col, products)``, or ``None`` when two index
+        coordinates are equal.
+        """
+        split = np.ascontiguousarray(split, dtype=np.int64)
+        index = np.ascontiguousarray(index, dtype=np.int64)
+        m = len(index)
+        if split.ndim != 1 or index.shape != split.shape:
+            raise ValueError("split and index must be 1-d arrays of the same size")
+        out = np.empty(m, dtype=np.int64)
+        products = ctypes.c_int64(0)
+        status = self._build(m, split, index, int(dense_block_size), out, ctypes.byref(products))
+        if status == -2:
+            return None
+        if status != 0:
+            raise MemoryError("native semi-local build could not allocate its workspace")
+        return out, products.value
 
     def seam_sweep(self, D: np.ndarray, row_to_col: np.ndarray, slots: np.ndarray) -> None:
         """Fold one cover part into the corner-score rows ``D`` in place.

@@ -29,7 +29,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.permutation import SubPermutation
-from ..core.seaweed import multiply
 from ..mpc.cluster import MPCCluster, SORT_ROUNDS
 from ..mpc_monge.constant_round import MongeMPCConfig
 from ..mpc_monge.subpermutation import mpc_multiply_subpermutation
@@ -54,7 +53,7 @@ class MPCLISResult:
 
 def _local_block_matrix(coords_split: np.ndarray, coords_index: np.ndarray) -> SubPermutation:
     """Build a block's semi-local matrix on a single machine (no rounds)."""
-    return _build_recursive(coords_split, coords_index, multiply)
+    return _build_recursive(coords_split, coords_index)[0]
 
 
 #: Signature of the multiplication used by the merge phase: it receives the

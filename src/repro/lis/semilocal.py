@@ -26,19 +26,26 @@ which under ``K = span - T`` is exactly the (min,+) product, i.e. ``⊡`` of the
 embedded sub-permutation matrices.  Every block keeps its matrix over its own
 compacted index universe ("relabeling" in the paper / CHS23), so the total
 size per divide-and-conquer level is O(n).
+
+The whole recursion (split, compaction, dense leaves, embedding, padding, ⊡
+and strip) runs in one call of the compiled ``repro_semilocal_build`` when
+:func:`repro.core.native.kernel` has loaded it; :func:`_build_recursive_numpy`
+is the fallback and the oracle.  Both report the number of ⊡ products, which
+``repro_multiply_total`` and the streaming ``StreamStats.multiplies`` count.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..core import native
 from ..core.combine import ColoredPointSet
 from ..core.permutation import SubPermutation
-from ..core.seaweed import multiply
+from ..core.seaweed import _MULTIPLIES, multiply
 
 __all__ = [
     "rank_transform",
@@ -49,8 +56,6 @@ __all__ = [
     "subsegment_matrix",
     "lis_length_seaweed",
 ]
-
-MultiplyFn = Callable[[SubPermutation, SubPermutation], SubPermutation]
 
 
 def rank_transform(sequence: Sequence[float], *, strict: bool = True) -> np.ndarray:
@@ -137,17 +142,23 @@ def validate_intervals(
 DENSE_BLOCK_SIZE = 96
 
 
-def _patience_scores(compact: Sequence[int], m: int) -> np.ndarray:
-    """The dense score table ``T[x, y] = #{tails < y}`` of the patience passes.
+def _dense_block_matrix(split_coords: np.ndarray, index_coords: np.ndarray) -> SubPermutation:
+    """Directly build the block matrix of a small block.
 
-    For every left endpoint ``x``, a patience pass over ``compact`` (keeping
-    only values ``>= x``) produces the array of minimal tails.  This loop is
-    the oracle of the compiled ``repro_patience_scores`` kernel.
+    For every left endpoint ``x``, a patience pass over the block's elements
+    (in split order, keeping only index values ``>= x``) produces the array of
+    minimal tails; the semi-local score is then ``T(x, y) = #{tails < y}``.
+    The block matrix is recovered from the dense score table by finite
+    differences of ``K = span - T``.
     """
-    import bisect
+    m = len(index_coords)
+    order = np.argsort(split_coords, kind="stable")
+    # Compact the index coordinates of the block to 0..m-1.
+    sorted_idx = np.sort(index_coords)
+    compact = np.searchsorted(sorted_idx, index_coords[order]).tolist()
 
-    scores = np.zeros((m + 1, m + 1), dtype=np.int64)
     grid = np.arange(m + 1, dtype=np.int64)
+    scores = np.zeros((m + 1, m + 1), dtype=np.int64)
     for x in range(m + 1):
         tails: list = []
         for value in compact:
@@ -159,32 +170,7 @@ def _patience_scores(compact: Sequence[int], m: int) -> np.ndarray:
             else:
                 tails[pos] = value
         scores[x, :] = np.searchsorted(np.asarray(tails, dtype=np.int64), grid, side="left")
-    return scores
 
-
-def _dense_block_matrix(split_coords: np.ndarray, index_coords: np.ndarray) -> SubPermutation:
-    """Directly build the block matrix of a small block.
-
-    For every left endpoint ``x``, a patience pass over the block's elements
-    (in split order, keeping only index values ``>= x``) produces the array of
-    minimal tails; the semi-local score is then ``T(x, y) = #{tails < y}``
-    (compiled kernel when loaded, else :func:`_patience_scores`).  The block
-    matrix is recovered from the dense score table by finite differences of
-    ``K = span - T``.
-    """
-    m = len(index_coords)
-    order = np.argsort(split_coords, kind="stable")
-    # Compact the index coordinates of the block to 0..m-1.
-    sorted_idx = np.sort(index_coords)
-    compact = np.searchsorted(sorted_idx, index_coords[order])
-
-    compiled = native.kernel()
-    if compiled is not None:
-        scores = compiled.patience_scores(compact)
-    else:
-        scores = _patience_scores(compact.tolist(), m)
-
-    grid = np.arange(m + 1, dtype=np.int64)
     span = grid[None, :] - grid[:, None]
     dist = np.where(span > 0, span - scores, 0)
     density = dist[:-1, 1:] - dist[:-1, :-1] - dist[1:, 1:] + dist[1:, :-1]
@@ -195,20 +181,40 @@ def _dense_block_matrix(split_coords: np.ndarray, index_coords: np.ndarray) -> S
 def _build_recursive(
     split_coords: np.ndarray,
     index_coords: np.ndarray,
-    multiply_fn: MultiplyFn,
     dense_block_size: int = DENSE_BLOCK_SIZE,
-) -> SubPermutation:
-    """Recursive divide-and-conquer over the split coordinate.
+) -> Tuple[SubPermutation, int]:
+    """The block matrix and the number of ⊡ products that built it.
+
+    Runs the compiled ``repro_semilocal_build`` when the kernel has loaded,
+    otherwise :func:`_build_recursive_numpy`.  Both give the same matrix and
+    the same count, and both add the count to ``repro_multiply_total``.
+    """
+    compiled = native.kernel()
+    if compiled is not None:
+        built = compiled.semilocal_build(split_coords, index_coords, dense_block_size)
+        if built is not None:
+            row_to_col, products = built
+            _MULTIPLIES.inc(products)
+            return SubPermutation(row_to_col, validate=False), products
+    return _build_recursive_numpy(split_coords, index_coords, dense_block_size)
+
+
+def _build_recursive_numpy(
+    split_coords: np.ndarray,
+    index_coords: np.ndarray,
+    dense_block_size: int = DENSE_BLOCK_SIZE,
+) -> Tuple[SubPermutation, int]:
+    """Recursive divide-and-conquer over the split coordinate (the kernel's oracle).
 
     Returns the block matrix over the block's *compacted* index universe
     (coordinate ``t`` of the matrix is the ``t``-th smallest index value of
-    the block).
+    the block) and the number of :func:`multiply` calls made.
     """
     m = len(index_coords)
     if m <= 1:
-        return SubPermutation.empty(m, m)
+        return SubPermutation.empty(m, m), 0
     if m <= dense_block_size:
-        return _dense_block_matrix(split_coords, index_coords)
+        return _dense_block_matrix(split_coords, index_coords), 0
     order = np.argsort(split_coords, kind="stable")
     index_by_split = index_coords[order]
     split_sorted = split_coords[order]
@@ -216,11 +222,11 @@ def _build_recursive(
 
     first_idx = index_by_split[:mid]
     second_idx = index_by_split[mid:]
-    first_mat = _build_recursive(
-        split_sorted[:mid], first_idx, multiply_fn, dense_block_size
+    first_mat, first_products = _build_recursive_numpy(
+        split_sorted[:mid], first_idx, dense_block_size
     )
-    second_mat = _build_recursive(
-        split_sorted[mid:], second_idx, multiply_fn, dense_block_size
+    second_mat, second_products = _build_recursive_numpy(
+        split_sorted[mid:], second_idx, dense_block_size
     )
 
     parent_sorted = np.sort(index_coords)
@@ -228,7 +234,7 @@ def _build_recursive(
     second_slots = np.searchsorted(parent_sorted, np.sort(second_idx))
     first_emb = embed_into_universe(first_mat, first_slots, m)
     second_emb = embed_into_universe(second_mat, second_slots, m)
-    return multiply_fn(first_emb, second_emb)
+    return multiply(first_emb, second_emb), first_products + second_products + 1
 
 
 @dataclass
@@ -316,25 +322,15 @@ class SemiLocalLIS:
         return int(self.query_substrings(i, j)[0])
 
 
-def value_interval_matrix(
-    sequence: Sequence[float],
-    *,
-    strict: bool = True,
-    dense_block_size: int = DENSE_BLOCK_SIZE,
-) -> SemiLocalLIS:
+def value_interval_matrix(sequence: Sequence[float], *, strict: bool = True) -> SemiLocalLIS:
     """Semi-local LIS matrix indexed by value ranks (split by position)."""
     ranks = rank_transform(sequence, strict=strict)
     positions = np.arange(len(ranks), dtype=np.int64)
-    matrix = _build_recursive(positions, ranks, multiply, dense_block_size)
+    matrix, _ = _build_recursive(positions, ranks)
     return SemiLocalLIS(matrix=matrix, kind="value", length=len(ranks))
 
 
-def subsegment_matrix(
-    sequence: Sequence[float],
-    *,
-    strict: bool = True,
-    dense_block_size: int = DENSE_BLOCK_SIZE,
-) -> SemiLocalLIS:
+def subsegment_matrix(sequence: Sequence[float], *, strict: bool = True) -> SemiLocalLIS:
     """Semi-local LIS matrix indexed by positions (split by value).
 
     Supports ``query_substring(i, j)`` — the semi-local LIS of
@@ -342,7 +338,7 @@ def subsegment_matrix(
     """
     ranks = rank_transform(sequence, strict=strict)
     positions = np.arange(len(ranks), dtype=np.int64)
-    matrix = _build_recursive(ranks, positions, multiply, dense_block_size)
+    matrix, _ = _build_recursive(ranks, positions)
     return SemiLocalLIS(matrix=matrix, kind="position", length=len(ranks))
 
 

@@ -1024,6 +1024,9 @@ class ServerCore:
             raise _HttpError(400, f"{what} must be an array of numbers: {exc}") from None
         if symbols.size == 0:
             raise _HttpError(400, f"{what} must be non-empty")
+        nan = np.flatnonzero(np.isnan(symbols))
+        if nan.size:
+            raise _HttpError(400, f"{what} holds NaN at position {int(nan[0])}")
         return symbols
 
     @staticmethod

@@ -169,6 +169,9 @@ def _as_tuple(values, what: str) -> tuple:
         raise ServiceRequestError(f"{what} must be an array of numbers") from None
     if arr.ndim != 1 or arr.size == 0 or not np.issubdtype(arr.dtype, np.number):
         raise ServiceRequestError(f"{what} must be a non-empty 1-D array of numbers")
+    nan = np.flatnonzero(np.isnan(arr))
+    if nan.size:
+        raise ServiceRequestError(f"{what} holds NaN at position {int(nan[0])}")
     return tuple(arr.tolist())
 
 

@@ -46,7 +46,6 @@ from ..core import native
 from ..core.permutation import SubPermutation
 from ..core.seaweed import multiply
 from ..lis.semilocal import (
-    DENSE_BLOCK_SIZE,
     SemiLocalLIS,
     _build_recursive,
     embed_into_universe,
@@ -145,25 +144,22 @@ def empty_block_product() -> BlockProduct:
     )
 
 
-def build_block_product(
-    values: np.ndarray,
-    ties: np.ndarray,
-    multiply_fn: MultiplyFn = multiply,
-    dense_block_size: int = DENSE_BLOCK_SIZE,
-) -> BlockProduct:
-    """Build one run's product from scratch (``_build_recursive`` machinery).
+def _build_block_product_counted(values: np.ndarray, ties: np.ndarray) -> Tuple[BlockProduct, int]:
+    """One run's product built from scratch, and the ⊡ products it took.
 
     ``values`` are in *window order*; ``ties`` are the per-element tie-break
     keys (see :func:`_lexicographic_ranks`).
     """
     values = np.asarray(values, dtype=np.float64)
     ties = np.asarray(ties, dtype=np.int64)
-    m = len(values)
     order, ranks = _lexicographic_ranks(values, ties)
-    matrix = _build_recursive(
-        np.arange(m, dtype=np.int64), ranks, multiply_fn, dense_block_size
-    )
-    return BlockProduct(matrix, values[order], ties[order])
+    matrix, products = _build_recursive(np.arange(len(values), dtype=np.int64), ranks)
+    return BlockProduct(matrix, values[order], ties[order]), products
+
+
+def build_block_product(values: np.ndarray, ties: np.ndarray) -> BlockProduct:
+    """Build one run's product from scratch (``_build_recursive`` machinery)."""
+    return _build_block_product_counted(values, ties)[0]
 
 
 def merge_key_slots(
@@ -298,20 +294,14 @@ def cover_scores(parts: Sequence[BlockProduct], x: int, y: np.ndarray) -> np.nda
 def _leaf_build_task(item: Tuple[np.ndarray, np.ndarray], _index: int):
     """Backend-mapped leaf build: ``(values, ties) -> (product, multiplies)``.
 
-    Pure with respect to shared state — each task counts its own multiplies
-    locally and the driver merges the deltas after the map, so the thread
-    backend can genuinely run leaf builds concurrently.  The ``(values, ...)``
-    tuple shape also lets the engine's item-weight heuristic see the real
-    element count when deciding whether threading pays.
+    Pure with respect to shared state — the build returns its own ⊡ count
+    and the driver merges the counts after the map, so the thread backend
+    can genuinely run leaf builds concurrently.  The ``(values, ...)`` tuple
+    shape also lets the engine's item-weight heuristic see the real element
+    count when deciding whether threading pays.
     """
     values, ties = item
-    performed = [0]
-
-    def counting_multiply(left: SubPermutation, right: SubPermutation) -> SubPermutation:
-        performed[0] += 1
-        return multiply(left, right)
-
-    return build_block_product(values, ties, counting_multiply), performed[0]
+    return _build_block_product_counted(values, ties)
 
 
 # ------------------------------------------------------------------ the tree
@@ -496,11 +486,14 @@ class SeaweedAggregator:
         self.stats.multiplies += 1
         return multiply(left, right)
 
-    def _build_leaf_product(self, leaf: _Leaf) -> BlockProduct:
+    def _counted_build(self, values: np.ndarray, arrivals: np.ndarray) -> BlockProduct:
+        product, multiplies = _build_block_product_counted(values, self._tie_keys(arrivals))
         self.stats.blocks_built += 1
-        return build_block_product(
-            leaf.live_values(), self._tie_keys(leaf.live_arrivals()), self._counted_multiply
-        )
+        self.stats.multiplies += multiplies
+        return product
+
+    def _build_leaf_product(self, leaf: _Leaf) -> BlockProduct:
+        return self._counted_build(leaf.live_values(), leaf.live_arrivals())
 
     def _touch(self) -> None:
         self._version += 1
@@ -509,10 +502,16 @@ class SeaweedAggregator:
         self._cover_cache = None
 
     def append(self, values: Sequence[float]) -> None:
-        """Append elements at the window's tail (splits into leaf blocks)."""
+        """Append elements at the window's tail (splits into leaf blocks).
+
+        Raises :class:`ValueError` on NaN, which has no place in the order.
+        """
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             return
+        nan = np.flatnonzero(np.isnan(values))
+        if nan.size:
+            raise ValueError(f"cannot append NaN (position {int(nan[0])} of the batch)")
         touched: List[_Leaf] = []
         offset = 0
         while offset < len(values):
@@ -578,12 +577,15 @@ class SeaweedAggregator:
         path.
         """
         position = int(position)
+        value = float(value)
+        if np.isnan(value):
+            raise ValueError(f"cannot update position {position} to NaN")
         if position < 0 or position >= len(self):
             raise IndexError(f"update position {position} outside window of {len(self)}")
         remaining = position
         for leaf in self._leaves:
             if remaining < leaf.live:
-                leaf.values[leaf.evicted + remaining] = float(value)
+                leaf.values[leaf.evicted + remaining] = value
                 self.store.put((0, leaf.leaf_id), self._build_leaf_product(leaf))
                 level = 1
                 while (1 << level) <= 2 * max(1, self._next_leaf_id):
@@ -680,14 +682,7 @@ class SeaweedAggregator:
                 lo_off = leaf.evicted + (s - start)
                 hi_off = leaf.evicted + (e - start)
                 arrivals = leaf.start_arrival + np.arange(lo_off, hi_off, dtype=np.int64)
-                self.stats.blocks_built += 1
-                parts.append(
-                    build_block_product(
-                        leaf.values[lo_off:hi_off],
-                        self._tie_keys(arrivals),
-                        self._counted_multiply,
-                    )
-                )
+                parts.append(self._counted_build(leaf.values[lo_off:hi_off], arrivals))
         flush()
         return parts
 

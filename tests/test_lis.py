@@ -14,7 +14,9 @@ from repro.lis import (
     subsegment_matrix,
     value_interval_matrix,
 )
+from repro.core import native
 from repro.lis.dp_baseline import lis_of_all_substrings, lis_of_value_ranges
+from repro.lis.semilocal import _build_recursive
 from repro.lis.patience import lds_length
 from repro.workloads import (
     block_sorted_sequence,
@@ -119,12 +121,17 @@ class TestSeaweedLIS:
         with pytest.raises(ValueError):
             subsegment_matrix(seq).query_rank_interval(0, 5)
 
-    def test_dense_block_size_does_not_change_result(self):
+    def test_dense_block_size_does_not_change_result(self, monkeypatch):
         seq = random_permutation_sequence(90, seed=11)
-        a = value_interval_matrix(seq, dense_block_size=1).matrix
-        b = value_interval_matrix(seq, dense_block_size=32).matrix
-        c = value_interval_matrix(seq, dense_block_size=256).matrix
+        built = value_interval_matrix(seq).matrix  # the kernel build when it has loaded
+        ranks = rank_transform(seq)
+        positions = np.arange(len(ranks), dtype=np.int64)
+        monkeypatch.setattr(native, "kernel", lambda: None)  # the NumPy oracle
+        a = _build_recursive(positions, ranks, dense_block_size=1)[0]
+        b = _build_recursive(positions, ranks, dense_block_size=32)[0]
+        c = _build_recursive(positions, ranks, dense_block_size=256)[0]
         assert a == b == c
+        assert a == built
 
 
 @settings(max_examples=50, deadline=None)

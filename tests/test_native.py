@@ -1,10 +1,10 @@
 """Tests for the compiled seaweed kernel (:mod:`repro.core.native`).
 
 The kernel must be bit-identical to its oracles: the NumPy iterative engine
-and the recursive reference engine for the ⊡ product, the Python patience
-loop for the dense-block score table, and the NumPy seam-sweep step for the
-streaming sweep.  With the loader forced to fail, every build must fall
-back to the NumPy path with identical results.
+and the recursive reference engine for the ⊡ product, the NumPy recursion
+(``_build_recursive_numpy``) for the semi-local build, and the NumPy
+seam-sweep step for the streaming sweep.  With the loader forced to fail,
+every build must fall back to the NumPy path with identical results.
 """
 
 import contextlib
@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from repro.core import (
 )
 from repro.core import native
 from repro.core.seaweed import pad_to_permutations, strip_padding
-from repro.lis.semilocal import _dense_block_matrix, _patience_scores
+from repro.lis import semilocal
+from repro.lis.semilocal import (
+    DENSE_BLOCK_SIZE,
+    _build_recursive,
+    _build_recursive_numpy,
+    rank_transform,
+)
 from repro.obs.metrics import get_registry
 from repro.service import build_lcs_index, build_lis_index
 from repro.streaming.aggregator import (
@@ -88,26 +95,77 @@ class TestNativeMultiply:
         assert native.kernel().multiply(good, np.array([0, 1, 3])) is None
 
 
-@needs_kernel
-class TestNativePatienceScores:
-    @settings(max_examples=80, deadline=None)
-    @given(values=st.integers(0, 96).flatmap(
-        lambda m: st.lists(st.integers(0, max(m - 1, 0)), min_size=m, max_size=m)
-    ))
-    def test_matches_python_table_with_ties(self, values):
-        compact = np.asarray(values, dtype=np.int64)
-        expected = _patience_scores(values, len(values))
-        assert np.array_equal(native.kernel().patience_scores(compact), expected)
+_D = DENSE_BLOCK_SIZE
+#: Block sizes at the recursion's edges: empty, single, pair, and around one
+#: and two dense leaves.
+_EDGE_SIZES = (0, 1, 2, _D - 1, _D, _D + 1, 2 * _D - 1, 2 * _D, 2 * _D + 1)
 
-    @settings(max_examples=40, deadline=None)
-    @given(m=st.integers(0, 96), seed=st.integers(0, 2**32 - 1))
-    def test_dense_block_matches_fallback(self, m, seed):
-        rng = np.random.default_rng(seed)
-        split = rng.permutation(m).astype(np.int64)
-        index = rng.integers(0, max(m // 2, 1), size=m).astype(np.int64)  # tied ranks
-        compiled = _dense_block_matrix(split, index)
+
+@st.composite
+def _build_inputs(draw):
+    """``(split, index)`` coordinates as every caller of ``_build_recursive`` passes them.
+
+    Values are strict or non-strict ranks of often heavily duplicated
+    sequences; the split runs by position (value-interval matrix) or by value
+    (subsegment matrix), or, as in ``mpc_lis._local_block_matrix``, over
+    unsorted split coordinates with ties and index coordinates that are
+    distinct but neither start at 0 nor are contiguous.
+    """
+    m = draw(st.one_of(st.sampled_from(_EDGE_SIZES), st.integers(0, 3 * _D)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = draw(st.sampled_from([1, 2, 5, max(m // 4, 1), max(m, 1)]))
+    ranks = rank_transform(rng.integers(0, alphabet, size=m), strict=draw(st.booleans()))
+    positions = np.arange(m, dtype=np.int64)
+    direction = draw(st.sampled_from(["value", "position", "local"]))
+    if direction == "value":
+        return positions, ranks
+    if direction == "position":
+        return ranks, positions
+    split = rng.integers(0, max(m // 3, 1), size=m).astype(np.int64)
+    index = (rng.choice(10 * m + 1, size=m, replace=False) - 5 * m).astype(np.int64)
+    return split, index
+
+
+@needs_kernel
+class TestNativeSemilocalBuild:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_build_inputs())
+    def test_matches_numpy_build(self, case):
+        split, index = case
+        built, products = _build_recursive(split, index)
+        calls = []
+
+        def counting_multiply(left, right):
+            calls.append(1)
+            return multiply(left, right)
+
+        with forced_fallback(), mock.patch.object(semilocal, "multiply", counting_multiply):
+            expected, expected_products = _build_recursive(split, index)
+        assert built == expected
+        assert products == expected_products == len(calls)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_build_inputs(), dense_block_size=st.sampled_from([0, 1, 2, 3, 8, 33]))
+    def test_matches_numpy_build_at_any_block_size(self, case, dense_block_size):
+        split, index = case
+        row_to_col, products = native.kernel().semilocal_build(split, index, dense_block_size)
+        expected, expected_products = _build_recursive_numpy(split, index, dense_block_size)
+        assert np.array_equal(row_to_col, expected.row_to_col)
+        assert products == expected_products
+
+    def test_products_reach_the_multiply_counter(self):
+        counter = get_registry().counter("repro_multiply_total")
+        before = counter.value()
+        _, products = _build_recursive(np.arange(1000), np.arange(1000)[::-1].copy())
+        assert products == 15  # internal nodes above leaves of 62 or 63
+        assert counter.value() - before == products
+
+    def test_repeated_index_coordinates_fall_back(self):
+        split, index = np.arange(4), np.array([3, 1, 3, 0])
+        assert native.kernel().semilocal_build(split, index, 2) is None
         with forced_fallback():
-            assert _dense_block_matrix(split, index) == compiled
+            expected = _build_recursive(split, index)
+        assert _build_recursive(split, index) == expected
 
 
 @st.composite
@@ -246,3 +304,87 @@ def test_concurrent_builds_into_one_cache_dir(tmp_path):
     assert len(paths) == 1
     assert all(out.strip().endswith("[1, 0]") for out, _ in outputs)  # sticky braid
     assert [p.name for p in cache.iterdir()] == [os.path.basename(paths.pop())]
+
+
+#: Drives every kernel entry point against its NumPy oracle; argv[1] is the
+#: library to load.  The oracles run with the cached kernel unavailable.
+_SANITIZED_DRIVER = """
+import sys
+import numpy as np
+from repro.core import native
+from repro.core.permutation import random_permutation
+from repro.core.seaweed import multiply_permutations_iterative
+from repro.lis.semilocal import DENSE_BLOCK_SIZE as D, _build_recursive_numpy, rank_transform
+from repro.streaming.aggregator import (
+    _NEG_INF, _part_slots, _sweep_one_part_numpy, build_block_product,
+)
+
+assert native.kernel() is None
+kernel = native.NativeKernel(sys.argv[1])
+rng = np.random.default_rng(0)
+sizes = (0, 1, 2, 3, D - 1, D, D + 1, 2 * D - 1, 2 * D, 2 * D + 1, 517)
+for n in sizes:
+    pa, pb = random_permutation(n, rng), random_permutation(n, rng)
+    got = kernel.multiply(pa.row_to_col, pb.row_to_col)
+    assert np.array_equal(got, multiply_permutations_iterative(pa, pb).row_to_col), n
+assert kernel.multiply(np.array([0, 0]), np.array([0, 1])) is None
+for m in sizes[:-1]:
+    for alphabet in (2, max(m, 1)):
+        ranks = rank_transform(rng.integers(0, alphabet, size=m), strict=alphabet == 2)
+        positions = np.arange(m)
+        for split, index in ((positions, ranks), (ranks, positions)):
+            for dense in (1, D):
+                row_to_col, products = kernel.semilocal_build(split, index, dense)
+                expected, count = _build_recursive_numpy(split, index, dense)
+                assert np.array_equal(row_to_col, expected.row_to_col), (m, dense)
+                assert products == count, (m, dense)
+assert kernel.semilocal_build(np.arange(3), np.array([1, 1, 0]), D) is None
+for size in sizes:
+    values = rng.integers(0, 20, size=size).astype(np.float64)
+    ties = -np.arange(size)
+    half = size // 2
+    parts = [build_block_product(values[:half], ties[:half]),
+             build_block_product(values[half:], ties[half:])]
+    m, slots = _part_slots(parts)
+    corners = np.arange(m + 1)
+    xs = rng.integers(0, m + 1, size=5)
+    rows = np.where(corners[None, :] >= xs[:, None], np.int64(0), _NEG_INF)
+    for part, part_slots in zip(parts, slots):
+        expected = _sweep_one_part_numpy(rows.copy(), part, part_slots)
+        got = rows.copy()
+        kernel.seam_sweep(got, part.matrix.row_to_col, part_slots)
+        assert np.array_equal(got, expected), size
+        rows = expected
+print("ok")
+"""
+
+
+def test_kernel_is_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    compiler = shutil.which("gcc")
+    if compiler is None:
+        pytest.skip("no gcc")
+    libasan = subprocess.run(
+        [compiler, "-print-file-name=libasan.so"], capture_output=True, text=True
+    ).stdout.strip()
+    if not os.path.isabs(libasan) or not os.path.exists(libasan):
+        pytest.skip("gcc has no libasan")
+    library = tmp_path / "_seaweed_sanitized.so"
+    subprocess.run(
+        [compiler, "-O1", "-g", "-std=c99", "-shared", "-fPIC",
+         "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         "-o", str(library), str(native._SOURCE)],
+        check=True, capture_output=True, timeout=120,
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(
+        os.environ,
+        PYTHONPATH=src,
+        LD_PRELOAD=libasan,
+        ASAN_OPTIONS="detect_leaks=0",
+        XDG_CACHE_HOME=os.devnull,  # the oracles must not load the cached kernel
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SANITIZED_DRIVER, str(library)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr[-4000:]

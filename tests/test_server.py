@@ -675,6 +675,26 @@ class TestSessions:
         finally:
             handle.stop()
 
+    def test_nan_symbols_rejected(self):
+        handle = start_server()
+        try:
+            nan = float("nan")  # post_json writes it as the JSON token NaN
+            status, _, body = post_json(
+                handle.url + "/sessions", {"kind": "lis", "push": [1.0, 2.0, nan]}
+            )
+            assert status == 400 and "NaN at position 2" in body["error"]
+            status, _, state = post_json(handle.url + "/sessions", {"kind": "lis", "push": [1.0]})
+            assert status == 200
+            sid = state["id"]
+            status, _, body = post_json(
+                handle.url + f"/sessions/{sid}/push", {"symbols": [nan, 3.0]}
+            )
+            assert status == 400 and "NaN at position 0" in body["error"]
+            status, _, state = get_json(handle.url + f"/sessions/{sid}")
+            assert status == 200 and state["size"] == 1 and state["answer"] == 1
+        finally:
+            handle.stop()
+
     def test_session_validation(self):
         handle = start_server()
         try:

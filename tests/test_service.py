@@ -440,6 +440,21 @@ class TestRequestsDocument:
                 }
             )
 
+    def test_nan_in_inline_targets_rejected(self):
+        # json.loads accepts NaN; before the check the window (0, 2) of the
+        # first document answered 2, where the DP oracle gives 1.
+        documents = [
+            ('{"requests": [{"op": "substring_query", "sequence": [3, NaN, 1, 2, NaN, 4], '
+             '"i": 0, "j": 2}]}', r"'sequence' holds NaN at position 1"),
+            ('{"requests": [{"op": "lcs_length", "s": [1, 2], "t": [2, NaN]}]}',
+             r"'t' holds NaN at position 1"),
+            ('{"requests": [{"op": "refresh", "sequence": [1, 2], "append": [NaN]}]}',
+             r"'append' holds NaN at position 0"),
+        ]
+        for text, message in documents:
+            with pytest.raises(ServiceRequestError, match=message):
+                parse_requests_document(json.loads(text))
+
     def test_op_target_compatibility_enforced(self):
         with pytest.raises(ServiceRequestError, match="sequence target"):
             parse_requests_document(

@@ -205,6 +205,18 @@ class TestSeaweedAggregator:
         with pytest.raises(ValueError):
             agg.evict(-1)
 
+    def test_nan_is_rejected(self):
+        # NaN has no place in the order: it used to be appended and counted
+        # into an increasing run ([1.0, nan] answered 2, the DP oracle 1).
+        agg = SeaweedAggregator()
+        with pytest.raises(ValueError, match="position 1"):
+            agg.append([1.0, float("nan")])
+        assert len(agg) == 0
+        agg.append([1.0, 2.0])
+        with pytest.raises(ValueError, match="NaN"):
+            agg.update(0, float("nan"))
+        assert agg.lis_length() == 2
+
     def test_live_count_tracks_the_window(self):
         rng = np.random.default_rng(11)
         agg = SeaweedAggregator(leaf_size=8)
