@@ -23,8 +23,9 @@
 # (cross-shard-count answer checksum identity), a streaming cold/warm cycle
 # (sliding-window session -> artifact validate), a quick perf pass gated
 # against the recorded results/perf_core.json baseline (cpu-normalised
-# regression check + the >= speedup floor) with a trend row appended and
-# validated, the repro report renderer (ASCII tables + capacity planning +
+# regression check + the 3x served-vs-reference speedup floor) with a
+# trend row appended and validated, the repro report renderer (ASCII
+# tables + capacity planning +
 # the --slo burn-rate summary, zero third-party deps), and schema
 # validation of every artifact — the freshly written ones and everything
 # recorded under results/.  Intended as the CI entry point.

@@ -5,8 +5,7 @@ Public API highlights
 ---------------------
 * :mod:`repro.core` — permutation / sub-permutation matrices and sequential
   (sub)unit-Monge multiplication (``repro.core.multiply``): the compiled
-  kernel, its NumPy fallback (the allocation-lean iterative engine) and the
-  retained recursive reference oracle.
+  kernel and the paper's recursive reference, its fallback and oracle.
 * :mod:`repro.mpc` — a deterministic MPC simulator with round, space and
   communication accounting, plus the standard O(1)-round primitives.
 * :mod:`repro.mpc_monge` — the paper's O(1)-round multiplication (Theorem 1.1 /

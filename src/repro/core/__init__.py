@@ -11,10 +11,8 @@ from .permutation import (
 from .dense import multiply_dense, minplus_distribution_product, is_distribution_matrix
 from .combine import ColoredPointSet, combine_colored
 from .seaweed import (
-    ScratchArena,
     multiply,
     multiply_permutations,
-    multiply_permutations_iterative,
     multiply_permutations_reference,
 )
 
@@ -30,9 +28,7 @@ __all__ = [
     "is_distribution_matrix",
     "ColoredPointSet",
     "combine_colored",
-    "ScratchArena",
     "multiply",
     "multiply_permutations",
-    "multiply_permutations_iterative",
     "multiply_permutations_reference",
 ]

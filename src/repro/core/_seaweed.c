@@ -1,14 +1,37 @@
 /*
  * Compiled hot loops of the sequential seaweed engine (loaded via ctypes by
- * repro.core.native; the NumPy code in seaweed.py / lis/semilocal.py is the
- * fallback and the oracle).
+ * repro.core.native; multiply_permutations_reference in seaweed.py and the
+ * NumPy code in lis/semilocal.py / streaming/aggregator.py are the fallback
+ * and the oracle).
  *
- * repro_seaweed_multiply: the full-permutation product P_A ⊡ P_B.  Same
- * split as the iterative engine at fan-in 2 (columns of P_A / rows of P_B
- * cut at n/2, each half compacted to its own index space), recursing down to
- * single points, then merged bottom-up with the staircase walk of
- * _staircase_merge_kernel (Lemma 3.2 at H = 2, Lemma 3.10 for the points
- * that survive unchanged).  O(n log n) time, 12n + 64 words of workspace.
+ * repro_seaweed_multiply: the full-permutation product P_A ⊡ P_B by the
+ * split of the paper's §3.1 at fan-in 2.  The columns of P_A and the rows of
+ * P_B are cut at n/2, each half is compacted to its own index space, and the
+ * halves recurse down to single points.  Each level merges its two
+ * sub-results, P_0 (color 0, the left half) and P_1 (color 1), expanded into
+ * one colored m x m permutation, with staircase_merge in O(m):
+ *
+ *   Lemma 3.2 at H = 2.  With F_x the distribution matrix of P_x and
+ *   delta(i, j) = F_1(i, j) - F_0(i, j), delta is non-increasing in both
+ *   i and j.  So the cells where F_1 attains min(F_0, F_1) lie at or right
+ *   of a monotone staircase t(i) = min{j : delta(i, j) <= 0}.  One
+ *   two-pointer walk from row m - 1 down to row 0 computes t(i) and
+ *   dval(i) = delta(i, t(i)); the column pointer only moves forward.
+ *
+ *   Lemma 3.10.  The product's points are the finite differences of
+ *   PΣ_C = min(F_0, F_1).  A color-0 point of row r with column below
+ *   t(r + 1) - 1, and a color-1 point with column at least t(r), lie
+ *   strictly inside a pure region and survive unchanged.
+ *
+ *   The seam.  Every other row r takes the one cell of the band
+ *   [t(r + 1) - 1, t(r) - 1] whose 4-corner density is 1.  Cell
+ *   t(r + 1) - 1 has density [column t(r + 1) - 1 holds (r, color 0)] -
+ *   dval(r + 1); an interior cell c has density [color 0 and row >= r] +
+ *   [color 1 and row <= r] of column c's point; cell t(r) - 1 takes the
+ *   rest (it is the only cell when t(r) = t(r + 1)).  The scans add up to
+ *   the staircase's length, so the merge stays O(m).
+ *
+ * O(n log n) time, 12n + 64 words of workspace.
  *
  * repro_semilocal_build: the whole recursion of _build_recursive in
  * lis/semilocal.py (stable split, compaction of the index coordinates, dense

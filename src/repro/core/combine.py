@@ -29,8 +29,8 @@ indexing.
 The same engine is used by the sequential seaweed reference multiplication
 (:mod:`repro.core.seaweed`, with ``H = 2`` or larger fan-in) and by the local
 per-machine steps of the MPC algorithms (:mod:`repro.mpc_monge`).  The
-iterative engine's hot path uses the specialised staircase merge in
-:mod:`repro.core.seaweed` instead; this module is its general-``H`` oracle.
+compiled kernel's hot path uses a specialised ``H = 2`` staircase merge
+instead; this module is its general-``H`` oracle.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class ColoredPointSet:
     ``PΣ_{C,x}`` and of ``PΣ_C = min_q F_q`` at arbitrary batches of corners.
 
     ``dense_table_limit`` overrides the module-level dense-table budget
-    (the reference engine and tests pass it); ``None`` keeps the default.
+    (tests pass it); ``None`` keeps the default.
     """
 
     def __init__(
@@ -383,15 +383,9 @@ def combine_colored(
     num_colors: int,
     n_rows: int,
     n_cols: int,
-    *,
-    dense_table_limit: Optional[int] = None,
 ) -> SubPermutation:
     """Convenience wrapper: build a :class:`ColoredPointSet` and combine it."""
-    point_set = ColoredPointSet(
-        rows, cols, colors, num_colors, n_rows, n_cols,
-        dense_table_limit=dense_table_limit,
-    )
-    return point_set.combine()
+    return ColoredPointSet(rows, cols, colors, num_colors, n_rows, n_cols).combine()
 
 
 def sigma_from_colored_dense(point_set: ColoredPointSet) -> np.ndarray:

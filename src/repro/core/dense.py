@@ -61,7 +61,7 @@ def subpermutation_from_distribution(dist: np.ndarray) -> SubPermutation:
     which must be 0 or 1 for a valid (sub)unit-Monge matrix.
     """
     density = dist[:-1, 1:] - dist[:-1, :-1] - dist[1:, 1:] + dist[1:, :-1]
-    if density.min() < 0 or density.max() > 1:
+    if density.size and (density.min() < 0 or density.max() > 1):
         raise ValueError("matrix is not the distribution matrix of a 0/1 matrix")
     rows, cols = np.nonzero(density)
     n_rows = dist.shape[0] - 1

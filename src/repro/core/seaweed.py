@@ -1,47 +1,25 @@
 """Sequential (sub)unit-Monge multiplication in Tiskin's seaweed framework.
 
 The entry point is :func:`multiply`, which accepts arbitrary sub-permutation
-matrices.  Two NumPy engines implement the full-permutation product:
+matrices.  Two engines implement the full-permutation product:
 
-* **iterative** (:func:`multiply_permutations_iterative`): an
-  allocation-lean bottom-up scheduler.  The instance is split top-down into
-  an explicit H-ary block tree (the maps ``M_A``/``M_B`` of the paper's
-  Section 3.1); leaves go to the dense oracle; every internal node is then
-  merged bottom-up with the O(m) *staircase merge* kernel
-  (:func:`_staircase_merge_kernel`) — the H-ary level merge decomposes into
-  pairwise merges by associativity of ``⊡``.  Per-level point sets stay
-  sorted, so each merge builds its rank structures by merging the previous
-  level's sorted arrays instead of re-sorting, and all positional scatter
-  temporaries come from one reusable :class:`ScratchArena`.
-* **reference** (:func:`multiply_permutations_reference`): the original
-  recursive divide-and-conquer retained verbatim as a correctness oracle —
-  split ``P_A`` into ``H`` column blocks and ``P_B`` into ``H`` row blocks,
-  recurse, and merge with the generic colored combine engine of
-  :mod:`repro.core.combine` (Lemmas 3.1-3.10).
+* the **compiled kernel** (``_seaweed.c``, loaded by
+  :mod:`repro.core.native`): the split of the paper's Section 3.1 at fan-in
+  2, recursing down to single points, merged bottom-up by an O(m) staircase
+  walk (Lemma 3.2 at ``H = 2``; the C source's header describes it).  This
+  is what :func:`multiply_permutations` runs.
+* the **reference** (:func:`multiply_permutations_reference`): the paper's
+  recursive divide-and-conquer — split ``P_A`` into ``H`` column blocks and
+  ``P_B`` into ``H`` row blocks (the maps ``M_A``/``M_B``), recurse, and merge
+  with the generic colored combine engine of :mod:`repro.core.combine`
+  (Lemmas 3.1-3.10).  :func:`multiply_permutations` falls back to it when
+  the kernel is unavailable (no gcc, a failed build or load), and it is the
+  kernel's oracle.  Its ``fanin``/``base_size`` keywords exist for the
+  oracle tests; no other layer sets them.
 
 Both engines are bit-identical on every input (the (sub)unit-Monge product
-is unique); the property tests in ``tests/test_seaweed.py`` and the
-``python -m repro perf`` regression subsystem pin that identity.
-
-:func:`multiply_permutations` runs the **compiled kernel** (``_seaweed.c``,
-loaded by :mod:`repro.core.native`): the same split at fan-in 2, recursing
-down to single points, merged bottom-up by the same staircase walk in C.
-When the kernel is unavailable (no gcc, a failed build or load) it runs
-:func:`multiply_permutations_iterative` at its defaults (fan-in 2, dense
-leaves of at most 32 points).  The engines' ``fanin``/``base_size`` keywords
-exist for the oracle tests and the perf cases; no other layer sets them.
-The oracle chain is therefore kernel → NumPy iterative engine → recursive
-reference; ``tests/test_native.py`` pins the first link.
-
-The staircase merge of two sub-results ``P_0`` (color 0) and ``P_1``
-(color 1) rests on Lemma 3.2 specialised to ``H = 2``: with
-``delta(i, j) = F_1(i, j) - F_0(i, j)``, ``delta`` is non-increasing in both
-``i`` and ``j``, so the region where ``F_1`` attains the minimum is bounded by
-a monotone staircase ``t(i) = min{j : delta(i, j) <= 0}``.  One two-pointer
-walk computes ``t`` (and ``delta`` on it) in O(m); the product's points are
-then read off by finite differences of ``PΣ_C`` — sub-result points strictly
-inside a pure region survive unchanged (Lemma 3.10) and the remaining rows
-take the unique seam cell whose density is 1.
+is unique); ``tests/test_native.py`` and ``tests/test_seaweed.py`` pin that
+identity against the reference and the dense oracle.
 
 Sub-permutation inputs are first padded to full permutations exactly as in
 the paper's Section 4.1 and the padding is stripped from the result
@@ -51,7 +29,7 @@ afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,25 +39,9 @@ from .dense import multiply_dense
 from .permutation import EMPTY, Permutation, SubPermutation
 from ..obs.metrics import get_registry
 
-# Engine metrics, recorded once per multiply (never per merge) so the
-# instrumentation stays invisible to the perf regression gate.
+# Recorded once per multiply, whichever engine runs (never per recursion level).
 _MULTIPLIES = get_registry().counter(
-    "repro_multiply_total", "Iterative multiplies run in this process"
-)
-_MERGES = get_registry().counter(
-    "repro_multiply_merges_total", "Staircase merges folded by the iterative engine"
-)
-_LEAVES = get_registry().counter(
-    "repro_multiply_leaves_total", "Dense-oracle leaves solved by the iterative engine"
-)
-_ARENA_GROWS = get_registry().counter(
-    "repro_arena_grows_total", "ScratchArena buffer (re)allocations"
-)
-_ARENA_REUSES = get_registry().counter(
-    "repro_arena_reuses_total", "ScratchArena buffer handouts served without allocating"
-)
-_ARENA_BYTES = get_registry().gauge(
-    "repro_arena_bytes", "Resident bytes of the most recently used ScratchArena"
+    "repro_multiply_total", "⊡ products run in this process"
 )
 
 __all__ = [
@@ -88,15 +50,12 @@ __all__ = [
     "expand_block_results",
     "multiply_permutations",
     "multiply_permutations_reference",
-    "multiply_permutations_iterative",
     "pad_to_permutations",
     "strip_padding",
     "multiply",
-    "ScratchArena",
 ]
 
-#: Below this size the dense oracle is at least as fast as the recursion
-#: (reference-engine default).
+#: Below this size the dense oracle is at least as fast as the recursion.
 DEFAULT_BASE_SIZE = 64
 
 
@@ -196,7 +155,7 @@ def expand_block_results(
 
 
 # --------------------------------------------------------------------------
-# The retained recursive reference engine (correctness oracle)
+# The recursive reference engine (fallback and correctness oracle)
 # --------------------------------------------------------------------------
 
 def multiply_permutations_reference(
@@ -205,15 +164,14 @@ def multiply_permutations_reference(
     *,
     fanin: int = 2,
     base_size: int = DEFAULT_BASE_SIZE,
-    dense_table_limit: Optional[int] = None,
 ) -> Permutation:
     """``P_A ⊡ P_B`` by the paper's recursive divide-and-conquer (§3.1).
 
-    Retained as the reference oracle for the iterative engine: same split,
-    same dense leaf oracle, but the H-ary merge runs through the generic
-    colored combine engine and the levels unwind by Python recursion.
-    ``dense_table_limit`` tunes the combine engine's dense-table budget
-    (``None`` keeps the module default).
+    Split ``P_A`` into ``fanin`` column blocks and ``P_B`` into ``fanin`` row
+    blocks, recurse, and merge the expanded sub-results with the generic
+    colored combine engine; instances of at most ``max(base_size, fanin)``
+    points go to the dense oracle.  This is the fallback of
+    :func:`multiply_permutations` and the oracle of the compiled kernel.
     """
     if fanin < 2:
         raise ValueError("fanin must be at least 2")
@@ -228,330 +186,31 @@ def multiply_permutations_reference(
     num_blocks = min(fanin, n)
     split = split_into_blocks(pa, pb, num_blocks)
     block_results = [
-        multiply_permutations_reference(
-            a_blk, b_blk, fanin=fanin, base_size=base_size,
-            dense_table_limit=dense_table_limit,
-        )
+        multiply_permutations_reference(a_blk, b_blk, fanin=fanin, base_size=base_size)
         for a_blk, b_blk in zip(split.a_blocks, split.b_blocks)
     ]
     rows, cols, colors = expand_block_results(block_results, split)
-    merged = combine_colored(
-        rows, cols, colors, num_blocks, n, n, dense_table_limit=dense_table_limit
-    )
-    return merged.as_permutation()
-
-
-# --------------------------------------------------------------------------
-# The iterative allocation-lean engine
-# --------------------------------------------------------------------------
-
-class ScratchArena:
-    """Reusable int64 workspace for the iterative engine's merges.
-
-    One multiply allocates every positional-scatter temporary (merge
-    positions, local ranks, the colored local permutation and its inverse)
-    from this arena instead of the heap: named buffers grow to the high-water
-    mark once and are handed out as slice views afterwards.  A shared
-    ``0..capacity`` ramp serves every ``arange`` the merges need.
-    """
-
-    __slots__ = ("_buffers", "_ramp", "grows", "reuses")
-
-    def __init__(self) -> None:
-        self._buffers = {}
-        self._ramp = np.empty(0, dtype=np.int64)
-        self.grows = 0
-        self.reuses = 0
-
-    def take(self, name: str, size: int) -> np.ndarray:
-        """A length-``size`` int64 view of the named buffer (grown if needed)."""
-        buf = self._buffers.get(name)
-        if buf is None or len(buf) < size:
-            buf = np.empty(max(size, 16), dtype=np.int64)
-            self._buffers[name] = buf
-            self.grows += 1
-        else:
-            self.reuses += 1
-        return buf[:size]
-
-    def ramp(self, size: int) -> np.ndarray:
-        """A read-only view of ``arange(size)`` (shared across merges)."""
-        if len(self._ramp) < size:
-            self._ramp = np.arange(max(size, 16), dtype=np.int64)
-            self.grows += 1
-        else:
-            self.reuses += 1
-        return self._ramp[:size]
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the arena (observability/testing)."""
-        return int(self._ramp.nbytes) + sum(buf.nbytes for buf in self._buffers.values())
-
-
-def _staircase_merge_kernel(
-    perm: Sequence[int],
-    color: Sequence[int],
-    col_row: Sequence[int],
-    col_color: Sequence[int],
-    m: int,
-) -> List[int]:
-    """Merge the colored local permutation into its product (O(m) walk).
-
-    ``perm``/``color`` give each local row's point column and operand color
-    (0 = left/earlier block, 1 = right/later block); ``col_row``/``col_color``
-    are the inverse view.  Implements the ``H = 2`` instance of Lemma 3.2:
-
-    * two-pointer pass computes the staircase ``t(i) = min{j : delta <= 0}``
-      (``delta = F_1 - F_0`` is non-increasing in both arguments, so the
-      pointer only moves forward) together with ``dval(i) = delta(i, t(i))``;
-    * a second pass reads the product off by finite differences of
-      ``PΣ_C = min(F_0, F_1)``: color-0 points with column ``< t(r+1) - 1``
-      and color-1 points with column ``>= t(r)`` survive unchanged
-      (Lemma 3.10); each remaining row takes the unique seam cell in
-      ``[t(r+1) - 1, t(r) - 1]`` whose 4-corner density is 1, located with
-      the O(1) corner identities on ``dval`` — total extra work is the
-      staircase length, so the whole kernel is O(m).
-
-    Operates on plain Python lists (the walk is branchy scalar work where
-    list indexing beats NumPy scalar indexing by a wide margin).
-    """
-    t = [0] * (m + 1)
-    dval = [0] * (m + 1)
-    j = 0
-    val = 0
-    for i in range(m - 1, -1, -1):
-        ci = perm[i]
-        if color[i] == 0:
-            if ci >= j:
-                val += 1
-        elif ci < j:
-            val += 1
-        while val > 0:
-            rj = col_row[j]
-            if col_color[j] == 1:
-                val += (1 if rj >= i else 0) - 1
-            else:
-                val -= 1 if rj >= i else 0
-            j += 1
-        t[i] = j
-        dval[i] = val
-
-    out = [0] * m
-    for r in range(m):
-        u = t[r]
-        v = t[r + 1]
-        cr = perm[r]
-        if color[r] == 0:
-            if cr <= v - 2:  # strictly inside the F_0 region (Lemma 3.10)
-                out[r] = cr
-                continue
-        elif cr >= u:  # strictly inside the F_1 region
-            out[r] = cr
-            continue
-        if u == v:  # degenerate staircase step: single seam cell
-            out[r] = u - 1
-            continue
-        # Seam band [v-1, u-1]: density(r, v-1) = [col v-1 holds (r, color 0)]
-        # - dval(r+1); interior cells v <= c <= u-2 carry density
-        # [color0 & row >= r] + [color1 & row <= r]; cell u-1 takes the rest.
-        if v >= 1 and dval[r + 1] == 0 and col_color[v - 1] == 0 and col_row[v - 1] == r:
-            out[r] = v - 1
-            continue
-        for c in range(v, u - 1):
-            rc = col_row[c]
-            if (col_color[c] == 0 and rc >= r) or (col_color[c] == 1 and rc <= r):
-                out[r] = c
-                break
-        else:
-            out[r] = u - 1
-    return out
-
-
-#: A node product in the iterative engine: points sorted by row, their
-#: columns in row order, and the sorted column support (reused by the parent
-#: merge instead of re-sorting).
-_NodeProduct = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _merge_node_products(
-    left: _NodeProduct, right: _NodeProduct, arena: ScratchArena
-) -> _NodeProduct:
-    """``left ⊡ right`` for two adjacent sub-results in shared coordinates.
-
-    Both operands are sub-permutations over the parent node's index space
-    with disjoint row and column supports.  The union is compacted to a
-    local colored permutation (rank structures come from merging the
-    operands' already-sorted arrays), multiplied with the staircase kernel,
-    and expanded back — all scatter temporaries live in the arena.
-    """
-    rows0, cols0, sorted_cols0 = left
-    rows1, cols1, sorted_cols1 = right
-    m0, m1 = len(rows0), len(rows1)
-    if m0 == 0:
-        return right
-    if m1 == 0:
-        return left
-    m = m0 + m1
-
-    ramp0 = arena.ramp(m0)
-    ramp1 = arena.ramp(m1)
-
-    # Merge the sorted, disjoint row supports: each side's slot in the union
-    # is its own rank plus the number of other-side entries before it.
-    pos0 = arena.take("pos0", m0)
-    pos1 = arena.take("pos1", m1)
-    np.add(np.searchsorted(rows1, rows0), ramp0, out=pos0)
-    np.add(np.searchsorted(rows0, rows1), ramp1, out=pos1)
-    union_rows = np.empty(m, dtype=np.int64)
-    union_rows[pos0] = rows0
-    union_rows[pos1] = rows1
-
-    # Same merge for the sorted column supports.
-    cpos0 = arena.take("cpos0", m0)
-    cpos1 = arena.take("cpos1", m1)
-    np.add(np.searchsorted(sorted_cols1, sorted_cols0), ramp0, out=cpos0)
-    np.add(np.searchsorted(sorted_cols0, sorted_cols1), ramp1, out=cpos1)
-    union_cols = np.empty(m, dtype=np.int64)
-    union_cols[cpos0] = sorted_cols0
-    union_cols[cpos1] = sorted_cols1
-
-    # The union as a colored local permutation and its inverse view.
-    perm = arena.take("perm", m)
-    perm[pos0] = np.searchsorted(union_cols, cols0)
-    perm[pos1] = np.searchsorted(union_cols, cols1)
-    color = arena.take("color", m)
-    color[pos0] = 0
-    color[pos1] = 1
-    col_row = arena.take("col_row", m)
-    col_row[perm] = arena.ramp(m)
-    col_color = arena.take("col_color", m)
-    col_color[perm] = color
-
-    local = _staircase_merge_kernel(
-        perm.tolist(), color.tolist(), col_row.tolist(), col_color.tolist(), m
-    )
-    out_cols = union_cols[np.asarray(local, dtype=np.int64)]
-    return union_rows, out_cols, union_cols
-
-
-def multiply_permutations_iterative(
-    pa: Permutation,
-    pb: Permutation,
-    *,
-    fanin: int = 2,
-    base_size: int = 32,
-    arena: Optional[ScratchArena] = None,
-) -> Permutation:
-    """``P_A ⊡ P_B`` by the allocation-lean bottom-up scheduler.
-
-    Phase 1 materialises the H-ary split tree top-down (an explicit worklist,
-    no Python recursion); phase 2 walks the nodes in reverse creation order —
-    children always precede parents — solving leaves with the dense oracle
-    and folding each internal node's children with pairwise staircase merges
-    (a balanced fold: associativity of ``⊡`` makes the bracketing free).
-    ``fanin`` is the split fan-in ``H``; nodes of at most ``base_size``
-    points go to the dense oracle.
-    """
-    if fanin < 2:
-        raise ValueError("fanin must be at least 2")
-    n = pa.size
-    if pb.size != n:
-        raise ValueError("operands must have the same size")
-    if n == 0:
-        return Permutation(np.empty(0, dtype=np.int64), validate=False)
-    fanin = int(fanin)
-    leaf_cap = max(int(base_size), fanin)
-    arena = arena if arena is not None else ScratchArena()
-    arena_grows0, arena_reuses0 = arena.grows, arena.reuses
-    merge_count = 0
-
-    # ---- phase 1: top-down H-ary split into an explicit node tree ---------
-    # nodes[nid] = (row_map, col_map) into the parent's index space.
-    node_maps: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None]
-    children: List[List[int]] = [[]]
-    leaf_inputs = {}
-    pending = [(0, np.asarray(pa.row_to_col), np.asarray(pb.row_to_col))]
-    while pending:
-        nid, a, b = pending.pop()
-        size = len(a)
-        if size <= leaf_cap:
-            leaf_inputs[nid] = (a, b)
-            continue
-        blocks = min(fanin, size)
-        bounds = block_boundaries(size, blocks)
-        for q in range(blocks):
-            lo, hi = int(bounds[q]), int(bounds[q + 1])
-            rows_q = np.flatnonzero((a >= lo) & (a < hi))
-            local_a = a[rows_q] - lo
-            cols_block = b[lo:hi]
-            cols_sorted = np.sort(cols_block)
-            local_b = np.searchsorted(cols_sorted, cols_block)
-            cid = len(node_maps)
-            node_maps.append((rows_q, cols_sorted))
-            children.append([])
-            children[nid].append(cid)
-            pending.append((cid, local_a, local_b))
-
-    # ---- phase 2: bottom-up merge (reverse creation order) ----------------
-    products: List[Optional[_NodeProduct]] = [None] * len(node_maps)
-    for nid in range(len(node_maps) - 1, -1, -1):
-        if nid in leaf_inputs:
-            a, b = leaf_inputs[nid]
-            local = multiply_dense(
-                Permutation(a, validate=False), Permutation(b, validate=False)
-            )
-            rtc = np.asarray(local.row_to_col, dtype=np.int64)
-            ident = np.arange(len(rtc), dtype=np.int64)
-            products[nid] = (ident, rtc, ident)
-            continue
-        parts: List[_NodeProduct] = []
-        for cid in children[nid]:
-            child_rows, child_cols, child_sorted = products[cid]
-            products[cid] = None  # free as we go: one level resident at a time
-            row_map, col_map = node_maps[cid]
-            parts.append(
-                (row_map[child_rows], col_map[child_cols], col_map[child_sorted])
-            )
-        while len(parts) > 1:
-            merge_count += len(parts) // 2
-            parts = [
-                _merge_node_products(parts[i], parts[i + 1], arena)
-                if i + 1 < len(parts)
-                else parts[i]
-                for i in range(0, len(parts), 2)
-            ]
-        products[nid] = parts[0]
-
-    # One registry update per multiply keeps the hot loop untouched.
-    _MULTIPLIES.inc()
-    if merge_count:
-        _MERGES.inc(merge_count)
-    _LEAVES.inc(len(leaf_inputs))
-    _ARENA_GROWS.inc(arena.grows - arena_grows0)
-    _ARENA_REUSES.inc(arena.reuses - arena_reuses0)
-    _ARENA_BYTES.set(arena.nbytes)
-
-    rows, cols, _ = products[0]
-    out = np.empty(n, dtype=np.int64)
-    out[rows] = cols
-    return Permutation(out, validate=False)
+    return combine_colored(rows, cols, colors, num_blocks, n, n).as_permutation()
 
 
 def multiply_permutations(pa: Permutation, pb: Permutation) -> Permutation:
     """``P_A ⊡ P_B`` for full permutation matrices of equal size.
 
     Runs the compiled kernel when it has loaded, otherwise
-    :func:`multiply_permutations_iterative` at its defaults.  Every engine
-    returns the same product (the (sub)unit-Monge product is unique).
+    :func:`multiply_permutations_reference` at its defaults.  Both engines
+    return the same product (the (sub)unit-Monge product is unique).  Each
+    call adds one to ``repro_multiply_total``, whichever engine runs.
     """
     compiled = native.kernel()
+    out = None
     if compiled is not None and pa.size == pb.size:
         out = compiled.multiply(pa.row_to_col, pb.row_to_col)
-        if out is not None:
-            _MULTIPLIES.inc()
-            return Permutation(out, validate=False)
-    return multiply_permutations_iterative(pa, pb)
+    if out is None:
+        product = multiply_permutations_reference(pa, pb)
+    else:
+        product = Permutation(out, validate=False)
+    _MULTIPLIES.inc()
+    return product
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ Subcommands
     Run the core hot-path micro-benchmarks (:mod:`repro.perf`), write the
     ``results/perf_core.json`` artifact and gate against the recorded
     baseline (cpu-normalised, tolerance-based; exit 1 on regression or when
-    the iterative-vs-reference multiply speedup falls below the floor).
+    the served-vs-reference multiply speedup falls below the floor).
 ``report``
     Render every recorded artifact in ``results/`` (or an explicit list) as
     ASCII scaling curves, latency tables and cache hit-rate summaries
@@ -518,13 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="F",
         help="regression tolerance on cpu-normalised timings (default 2.5)",
-    )
-    perf_parser.add_argument(
-        "--speedup-floor",
-        type=float,
-        default=None,
-        metavar="F",
-        help="required iterative-vs-reference multiply speedup (default 3.0, quick 2.0)",
     )
     perf_parser.add_argument(
         "--repeats", type=int, default=2, metavar="R", help="timing repeats per case (min is kept)"
@@ -1112,7 +1105,6 @@ def _cmd_stream(args, out) -> int:
 
 def _cmd_perf(args, out) -> int:
     from ..perf import (
-        DEFAULT_SPEEDUP_FLOOR,
         DEFAULT_TOLERANCE,
         check_speedup,
         compare_documents,
@@ -1142,19 +1134,14 @@ def _cmd_perf(args, out) -> int:
     speedup = perf["multiply_speedup_vs_reference"]
     print(
         f"calibration kernel {perf['calibration_seconds'] * 1000:.2f} ms; "
-        f"iterative vs reference multiply speedup at n={perf['headline_n']}: "
+        f"served vs reference multiply speedup at n={perf['headline_n']}: "
         + (f"{speedup:.2f}x" if speedup is not None else "n/a"),
         file=out,
     )
 
     status = 0
     if not args.no_check:
-        floor = (
-            args.speedup_floor
-            if args.speedup_floor is not None
-            else (2.0 if args.quick else DEFAULT_SPEEDUP_FLOOR)
-        )
-        failure = check_speedup(document, floor=floor)
+        failure = check_speedup(document)
         if failure is not None:
             print(f"perf speedup check FAILED: {failure}", file=sys.stderr)
             status = 1

@@ -1,8 +1,8 @@
 """The perf subsystem: core-hot-path micro-benchmarks plus a regression gate.
 
 ``python -m repro perf`` runs the fixed case grid of :mod:`repro.perf.bench`
-(multiply at several sizes and fan-ins, the retained recursive reference, a
-semi-local build, a streaming tick, a warm service batch), writes the
+(the served multiply and the recursive reference at two sizes, a semi-local
+build, a streaming tick, a warm service batch), writes the
 schema-v1 ``results/perf_core.json`` artifact, and checks it against the
 recorded baseline with the tolerance rules of :mod:`repro.perf.regression`.
 """

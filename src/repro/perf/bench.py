@@ -6,12 +6,11 @@ in ``core.seaweed.multiply``:
 ========== =============================================================
 group      what is timed
 ========== =============================================================
-multiply   full-permutation ``P_A ⊡ P_B`` (iterative NumPy engine) at
-           ``n ∈ {256 .. 16384}`` per fan-in
 served     the served ``multiply_permutations`` (the compiled kernel when
-           it has loaded, else the iterative engine) at ``n = 1024``
-reference  the retained recursive oracle at the headline size, asserted
-           bit-identical to the iterative engine (the speedup denominator)
+           it has loaded, else the recursive reference) at ``n = 1024``
+           and at the headline size
+reference  the recursive §3.1 reference at the same sizes, asserted
+           bit-identical to the served engine (the speedup numerator)
 semilocal  a from-scratch ``value_interval_matrix`` build (Theorem 1.3)
 streaming  the amortised sliding-window tick of the PR-4 aggregator
 service    a warm cached query batch through the PR-3 serving layer
@@ -27,12 +26,11 @@ cancels machine speed to first order.
 The run lands in the standard schema-v1 experiment artifact (an ad-hoc
 ``perf_core`` spec) with an additive ``perf`` section carrying the
 calibration, the engine behind the served multiply and the headline
-iterative-vs-reference speedup.
+served-vs-reference speedup.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -41,11 +39,7 @@ import numpy as np
 
 from ..core.native import kernel_status
 from ..core.permutation import random_permutation
-from ..core.seaweed import (
-    multiply_permutations,
-    multiply_permutations_iterative,
-    multiply_permutations_reference,
-)
+from ..core.seaweed import multiply_permutations, multiply_permutations_reference
 from ..experiments.runner import ExperimentResult
 from ..experiments.spec import ExperimentSpec, PointResult
 from ..experiments.artifacts import result_to_artifact
@@ -62,7 +56,7 @@ __all__ = [
     "HEADLINE_MULTIPLY_N",
 ]
 
-#: The headline size: the ≥3x multiply speedup claim is pinned at this n.
+#: The headline size of full runs: the multiply speedup floor is checked at this n.
 HEADLINE_MULTIPLY_N = 4096
 
 #: Seed convention of every perf workload (fixed: artifacts must reproduce).
@@ -98,12 +92,12 @@ def _permutation_pair(n: int):
     return random_permutation(n, rng), random_permutation(n, rng)
 
 
-def _make_multiply(n: int, engine: Callable[..., Any]) -> Callable[[], Callable[[], Any]]:
+def _make_served(n: int) -> Callable[[], Callable[[], Any]]:
     def factory() -> Callable[[], Any]:
         pa, pb = _permutation_pair(n)
 
         def kernel():
-            result = engine(pa, pb)
+            result = multiply_permutations(pa, pb)
             assert result.size == n
             return result
 
@@ -115,13 +109,13 @@ def _make_multiply(n: int, engine: Callable[..., Any]) -> Callable[[], Callable[
 def _make_reference(n: int) -> Callable[[], Callable[[], Any]]:
     def factory() -> Callable[[], Any]:
         pa, pb = _permutation_pair(n)
-        expected = multiply_permutations_iterative(pa, pb)
+        expected = multiply_permutations(pa, pb)
 
         def kernel():
             result = multiply_permutations_reference(pa, pb)
-            # The acceptance identity: reference and iterative engines are
-            # bit-identical on the headline workload.
-            assert result == expected, "reference and iterative engines diverge"
+            # The acceptance identity: the reference and the served engine
+            # are bit-identical on the timed workload.
+            assert result == expected, "reference and served engines diverge"
             return result
 
         return kernel
@@ -191,46 +185,25 @@ def _make_service(n: int, batch: int) -> Callable[[], Callable[[], Any]]:
 def perf_cases() -> List[PerfCase]:
     """The registered case grid (full runs take all, quick runs the subset)."""
     cases: List[PerfCase] = []
-    for n in (256, 1024, HEADLINE_MULTIPLY_N, 16384):
-        for fanin in (2, 4):
-            cases.append(
-                PerfCase(
-                    name=f"multiply_n{n}_h{fanin}",
-                    group="multiply",
-                    params={"n": n, "fanin": fanin},
-                    quick=(n <= 1024 and fanin == 2),
-                    make=_make_multiply(
-                        n, functools.partial(multiply_permutations_iterative, fanin=fanin)
-                    ),
-                )
+    for n, quick in ((1024, True), (HEADLINE_MULTIPLY_N, False)):
+        cases.append(
+            PerfCase(
+                name=f"multiply_served_n{n}",
+                group="served",
+                params={"n": n},
+                quick=quick,
+                make=_make_served(n),
             )
-    cases.append(
-        PerfCase(
-            name="multiply_served_n1024",
-            group="served",
-            params={"n": 1024},
-            quick=True,
-            make=_make_multiply(1024, multiply_permutations),
         )
-    )
-    cases.append(
-        PerfCase(
-            name=f"multiply_reference_n{HEADLINE_MULTIPLY_N}",
-            group="reference",
-            params={"n": HEADLINE_MULTIPLY_N, "fanin": 2},
-            quick=False,
-            make=_make_reference(HEADLINE_MULTIPLY_N),
+        cases.append(
+            PerfCase(
+                name=f"multiply_reference_n{n}",
+                group="reference",
+                params={"n": n, "fanin": 2},
+                quick=quick,
+                make=_make_reference(n),
+            )
         )
-    )
-    cases.append(
-        PerfCase(
-            name="multiply_reference_n1024",
-            group="reference",
-            params={"n": 1024, "fanin": 2},
-            quick=True,
-            make=_make_reference(1024),
-        )
-    )
     for n, quick in ((1024, True), (4096, False)):
         cases.append(
             PerfCase(
@@ -302,7 +275,7 @@ def run_perf(
 
     The additive ``perf`` section records the calibration, the engine behind
     the served multiply (``'native'`` or ``'numpy'``) and the headline
-    iterative-vs-reference multiply speedup (both engines timed in the same
+    served-vs-reference multiply speedup (both engines timed in the same
     process on the same operands).
     """
     calibration = calibrate_cpu()
@@ -330,16 +303,16 @@ def run_perf(
     wall_seconds = time.perf_counter() - wall_started
 
     headline_n = 1024 if quick else HEADLINE_MULTIPLY_N
-    iterative_key = f"multiply_n{headline_n}_h2"
+    served_key = f"multiply_served_n{headline_n}"
     reference_key = f"multiply_reference_n{headline_n}"
     speedup = None
-    if iterative_key in by_name and reference_key in by_name and by_name[iterative_key] > 0:
-        speedup = by_name[reference_key] / by_name[iterative_key]
+    if served_key in by_name and reference_key in by_name and by_name[served_key] > 0:
+        speedup = by_name[reference_key] / by_name[served_key]
 
     spec = ExperimentSpec(
         name="perf_core",
         title="Core hot-path micro-benchmarks (python -m repro perf)",
-        claim="allocation-lean iterative multiply engine (>= 3x vs the recursive reference)",
+        claim="served multiply engine (>= 3x vs the recursive reference)",
         grid={},
         point=dict,
         columns=["case", "group", "seconds", "normalized"],

@@ -9,7 +9,7 @@ in only one document are reported but never fail the check, so the grid can
 grow without invalidating old baselines.  A comparison that matches no case
 at all fails: it would otherwise pass without checking anything.
 
-The headline speedup claim (iterative engine ≥ ``floor`` times the retained
+The headline speedup claim (the served multiply ≥ ``floor`` times the
 recursive reference) is checked separately from the artifact's ``perf``
 section via :func:`check_speedup`.
 """
@@ -31,7 +31,7 @@ __all__ = [
 #: the normalisation only cancels speed differences to first order.
 DEFAULT_TOLERANCE = 2.5
 
-#: The tentpole claim: iterative multiply vs the recursive reference.
+#: The served multiply must beat the recursive reference by this factor.
 DEFAULT_SPEEDUP_FLOOR = 3.0
 
 
@@ -124,7 +124,7 @@ def check_speedup(
         return "artifact records no multiply_speedup_vs_reference"
     if float(speedup) < float(floor):
         return (
-            f"iterative multiply speedup {float(speedup):.2f}x is below the "
+            f"served multiply speedup {float(speedup):.2f}x is below the "
             f"required {float(floor):.2f}x floor (headline n={perf.get('headline_n')})"
         )
     return None

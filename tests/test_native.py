@@ -1,7 +1,7 @@
 """Tests for the compiled seaweed kernel (:mod:`repro.core.native`).
 
-The kernel must be bit-identical to its oracles: the NumPy iterative engine
-and the recursive reference engine for the ⊡ product, the NumPy recursion
+The kernel must be bit-identical to its oracles: the recursive reference
+engine and the dense oracle for the ⊡ product, the NumPy recursion
 (``_build_recursive_numpy``) for the semi-local build, and the NumPy
 seam-sweep step for the streaming sweep.  With the loader forced to fail,
 every build must fall back to the NumPy path with identical results.
@@ -23,8 +23,8 @@ import repro
 from repro.core import (
     Permutation,
     multiply,
+    multiply_dense,
     multiply_permutations,
-    multiply_permutations_iterative,
     multiply_permutations_reference,
     random_permutation,
     random_subpermutation,
@@ -65,14 +65,14 @@ class TestNativeMultiply:
         rng = np.random.default_rng(seed)
         pa, pb = random_permutation(n, rng), random_permutation(n, rng)
         got = _native_product(pa, pb)
-        assert got == multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=4)
+        assert got == multiply_dense(pa, pb).as_permutation()
         assert got == multiply_permutations_reference(pa, pb, fanin=fanin, base_size=4)
         assert multiply_permutations(pa, pb) == got
 
     def test_large_odd_size(self):
         rng = np.random.default_rng(4097)
         pa, pb = random_permutation(4097, rng), random_permutation(4097, rng)
-        assert _native_product(pa, pb) == multiply_permutations_iterative(pa, pb)
+        assert _native_product(pa, pb) == multiply_permutations_reference(pa, pb)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -278,6 +278,16 @@ class TestForcedFallback:
             assert a.fingerprint == b.fingerprint
             assert a.semilocal.matrix == b.semilocal.matrix
 
+    def test_fallback_multiply_counts_once(self):
+        rng = np.random.default_rng(200)
+        pa, pb = random_permutation(200, rng), random_permutation(200, rng)
+        counter = get_registry().counter("repro_multiply_total")
+        with forced_fallback():
+            before = counter.value()
+            product = multiply_permutations(pa, pb)
+            assert counter.value() - before == 1
+        assert product == multiply_permutations_reference(pa, pb)
+
 
 @pytest.mark.skipif(shutil.which("gcc") is None and shutil.which("cc") is None,
                     reason="no C compiler")
@@ -313,7 +323,7 @@ import sys
 import numpy as np
 from repro.core import native
 from repro.core.permutation import random_permutation
-from repro.core.seaweed import multiply_permutations_iterative
+from repro.core.seaweed import multiply_permutations_reference
 from repro.lis.semilocal import DENSE_BLOCK_SIZE as D, _build_recursive_numpy, rank_transform
 from repro.streaming.aggregator import (
     _NEG_INF, _part_slots, _sweep_one_part_numpy, build_block_product,
@@ -326,7 +336,7 @@ sizes = (0, 1, 2, 3, D - 1, D, D + 1, 2 * D - 1, 2 * D, 2 * D + 1, 517)
 for n in sizes:
     pa, pb = random_permutation(n, rng), random_permutation(n, rng)
     got = kernel.multiply(pa.row_to_col, pb.row_to_col)
-    assert np.array_equal(got, multiply_permutations_iterative(pa, pb).row_to_col), n
+    assert np.array_equal(got, multiply_permutations_reference(pa, pb).row_to_col), n
 assert kernel.multiply(np.array([0, 0]), np.array([0, 1])) is None
 for m in sizes[:-1]:
     for alphabet in (2, max(m, 1)):

@@ -27,11 +27,12 @@ class TestCaseGrid:
         quick = [case for case in cases if case.quick]
         assert quick and len(quick) < len(cases)
         groups = {case.group for case in cases}
-        assert {"multiply", "reference", "semilocal", "streaming", "service"} <= groups
-        # The full grid covers the issue's size range and both fan-ins.
-        multiply_sizes = {case.params["n"] for case in cases if case.group == "multiply"}
-        assert {256, 4096, 16384} <= multiply_sizes
-        assert {case.params["fanin"] for case in cases if case.group == "multiply"} == {2, 4}
+        assert {"served", "reference", "semilocal", "streaming", "service"} <= groups
+        # The served engine and the reference are timed at the same sizes:
+        # the quick speedup at n=1024, the headline one at n=4096.
+        served = {(case.params["n"], case.quick) for case in cases if case.group == "served"}
+        reference = {(case.params["n"], case.quick) for case in cases if case.group == "reference"}
+        assert served == reference == {(1024, True), (4096, False)}
 
     def test_calibration_is_positive_and_stable(self):
         first = calibrate_cpu(repeats=2)
@@ -46,13 +47,17 @@ class TestRunPerf:
         assert document["quick"] is True
         assert document["perf"]["calibration_seconds"] > 0
         speedup = document["perf"]["multiply_speedup_vs_reference"]
-        assert speedup is not None and speedup > 1.0
+        assert speedup is not None
+        if native.kernel() is not None:
+            assert check_speedup(document) is None
+        else:
+            # On the fallback the served engine is the reference itself.
+            assert check_speedup(document) is not None
         for point in document["points"]:
             assert point["metrics"]["seconds"] > 0
             assert point["metrics"]["normalized"] > 0
         names = {point["params"]["case"] for point in document["points"]}
-        assert "multiply_n1024_h2" in names and "multiply_reference_n1024" in names
-        assert "multiply_served_n1024" in names
+        assert "multiply_served_n1024" in names and "multiply_reference_n1024" in names
         assert document["perf"]["kernel"] == native.kernel_status()
 
 

@@ -6,17 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Permutation,
-    ScratchArena,
     SubPermutation,
     identity_permutation,
     multiply,
     multiply_dense,
     multiply_permutations,
-    multiply_permutations_iterative,
     multiply_permutations_reference,
     random_permutation,
     random_subpermutation,
 )
+from repro.core import combine
 from repro.core.seaweed import (
     block_boundaries,
     pad_to_permutations,
@@ -26,7 +25,7 @@ from repro.core.seaweed import (
 
 
 def _via_padding(engine, pa, pb, **knobs):
-    """``pa ⊡ pb`` through the §4.1 padding, with one NumPy engine and its knobs."""
+    """``pa ⊡ pb`` through the §4.1 padding, with one engine and its knobs."""
     perm_a, perm_b, info = pad_to_permutations(pa, pb)
     return strip_padding(engine(perm_a, perm_b, **knobs), info)
 
@@ -62,22 +61,22 @@ class TestSplit:
 
 class TestMultiplyPermutations:
     def test_matches_dense_small(self, rng):
-        for n in (1, 2, 3, 7, 20, 45):
+        for n in (0, 1, 2, 3, 7, 20, 45):
             pa, pb = random_permutation(n, rng), random_permutation(n, rng)
             expected = multiply_dense(pa, pb).as_permutation()
             assert multiply_permutations(pa, pb) == expected
-            assert multiply_permutations_iterative(pa, pb, base_size=4) == expected
+            assert multiply_permutations_reference(pa, pb, base_size=4) == expected
 
     def test_all_fanins_agree(self, rng):
         pa, pb = random_permutation(40, rng), random_permutation(40, rng)
-        reference = multiply_permutations_iterative(pa, pb, fanin=2, base_size=4)
+        reference = multiply_permutations_reference(pa, pb, fanin=2, base_size=4)
         for fanin in (3, 4, 7, 16):
-            assert multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=4) == reference
+            assert multiply_permutations_reference(pa, pb, fanin=fanin, base_size=4) == reference
 
     def test_identity_neutral(self, rng):
         p = random_permutation(30, rng)
         ident = identity_permutation(30)
-        for engine in (multiply_permutations, multiply_permutations_iterative):
+        for engine in (multiply_permutations, multiply_permutations_reference):
             assert engine(p, ident) == p
             assert engine(ident, p) == p
 
@@ -94,9 +93,8 @@ class TestMultiplyPermutations:
 
     def test_invalid_fanin(self, rng):
         pa, pb = random_permutation(4, rng), random_permutation(4, rng)
-        for engine in (multiply_permutations_iterative, multiply_permutations_reference):
-            with pytest.raises(ValueError):
-                engine(pa, pb, fanin=1)
+        with pytest.raises(ValueError):
+            multiply_permutations_reference(pa, pb, fanin=1)
 
     def test_empty(self):
         empty = Permutation(np.empty(0, dtype=np.int64))
@@ -134,7 +132,7 @@ class TestMultiplyGeneral:
             pb = random_subpermutation(int(n2), int(n3), int(rng.integers(0, min(n2, n3) + 1)), rng)
             expected = multiply_dense(pa, pb)
             assert multiply(pa, pb) == expected
-            assert _via_padding(multiply_permutations_iterative, pa, pb, base_size=4) == expected
+            assert _via_padding(multiply_permutations_reference, pa, pb, base_size=4) == expected
 
     def test_inner_mismatch_raises(self, rng):
         pa = random_subpermutation(4, 5, 2, rng)
@@ -147,8 +145,8 @@ class TestMultiplyGeneral:
         assert multiply(pa, pb) == multiply_permutations(pa, pb)
 
 
-class TestIterativeEngine:
-    """The allocation-lean engine must be bit-identical to the reference."""
+class TestReferenceEngine:
+    """The §3.1 recursion, the served engine and the dense oracle agree."""
 
     def test_engine_dispatch(self, rng):
         """The served multiply equals the recursive reference."""
@@ -159,43 +157,34 @@ class TestIterativeEngine:
     def test_identity_and_empty(self, rng):
         p = random_permutation(30, rng)
         ident = identity_permutation(30)
-        assert multiply_permutations_iterative(p, ident) == p
-        assert multiply_permutations_iterative(ident, p) == p
+        assert multiply_permutations_reference(p, ident, base_size=4) == p
+        assert multiply_permutations_reference(ident, p, base_size=4) == p
         empty = Permutation(np.empty(0, dtype=np.int64))
-        assert multiply_permutations_iterative(empty, empty).size == 0
+        assert multiply_permutations_reference(empty, empty).size == 0
 
     def test_matches_reference_across_fanins(self, rng):
         for n in (1, 2, 3, 17, 40, 73):
             pa, pb = random_permutation(n, rng), random_permutation(n, rng)
-            expected = multiply_permutations_reference(pa, pb, fanin=2, base_size=4)
+            expected = multiply_dense(pa, pb).as_permutation()
             for fanin in (2, 3, 5, 8):
-                got = multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=4)
+                got = multiply_permutations_reference(pa, pb, fanin=fanin, base_size=4)
                 assert got == expected
-
-    def test_shared_arena_across_calls(self, rng):
-        arena = ScratchArena()
-        for _ in range(5):
-            n = int(rng.integers(1, 60))
-            pa, pb = random_permutation(n, rng), random_permutation(n, rng)
-            got = multiply_permutations_iterative(pa, pb, base_size=4, arena=arena)
-            assert got == multiply_permutations_reference(pa, pb, base_size=4)
-        assert arena.nbytes > 0
 
     def test_subpermutations_match_reference_engine(self, rng):
         for _ in range(25):
             n1, n2, n3 = rng.integers(1, 18, size=3)
             pa = random_subpermutation(int(n1), int(n2), int(rng.integers(0, min(n1, n2) + 1)), rng)
             pb = random_subpermutation(int(n2), int(n3), int(rng.integers(0, min(n2, n3) + 1)), rng)
-            iterative = _via_padding(multiply_permutations_iterative, pa, pb, base_size=4)
             reference = _via_padding(multiply_permutations_reference, pa, pb, base_size=4)
-            assert iterative == reference == multiply(pa, pb)
+            assert reference == multiply(pa, pb) == multiply_dense(pa, pb)
 
-    def test_reference_engine_respects_dense_table_limit(self, rng):
-        # dense_table_limit=0 forces every reference-engine merge onto the
-        # sparse color-major path; the product must be unchanged.
+    def test_reference_engine_respects_dense_table_limit(self, rng, monkeypatch):
+        # A dense-table budget of 0 forces every reference-engine merge onto
+        # the sparse color-major path; the product must be unchanged.
         pa, pb = random_permutation(40, rng), random_permutation(40, rng)
-        sparse = multiply_permutations_reference(pa, pb, base_size=4, dense_table_limit=0)
-        assert sparse == multiply_permutations_reference(pa, pb, base_size=4)
+        dense = multiply_permutations_reference(pa, pb, base_size=4)
+        monkeypatch.setattr(combine, "DENSE_TABLE_LIMIT", 0)
+        assert multiply_permutations_reference(pa, pb, base_size=4) == dense
 
     def test_empty_subpermutation_operands(self, rng):
         pa = SubPermutation.empty(5, 7)
@@ -208,7 +197,7 @@ class TestIterativeEngine:
 
 class TestEngineAcrossBackends:
     def test_backends_bit_identical_with_plan(self, rng):
-        """serial/thread/process leaf builds with the iterative engine agree."""
+        """serial/thread/process leaf builds give the same root matrix."""
         from repro.streaming import StreamingLIS
 
         stream = rng.random(300)
@@ -231,7 +220,7 @@ def test_multiply_matches_dense_property(n, fanin, seed):
     rng = np.random.default_rng(seed)
     pa, pb = random_permutation(n, rng), random_permutation(n, rng)
     expected = multiply_dense(pa, pb).as_permutation()
-    assert multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=4) == expected
+    assert multiply_permutations_reference(pa, pb, fanin=fanin, base_size=4) == expected
     assert multiply_permutations(pa, pb) == expected
 
 
@@ -252,24 +241,7 @@ def test_subpermutation_multiply_property(dims, seed):
     pb = random_subpermutation(n2, n3, int(rng.integers(0, min(n2, n3) + 1)), rng)
     expected = multiply_dense(pa, pb)
     assert multiply(pa, pb) == expected
-    assert _via_padding(multiply_permutations_iterative, pa, pb, base_size=4) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=48),
-    fanin=st.integers(min_value=2, max_value=8),
-    base_size=st.integers(min_value=1, max_value=12),
-    seed=st.integers(min_value=0, max_value=100_000),
-)
-def test_iterative_engine_bit_identity_property(n, fanin, base_size, seed):
-    """Property: the iterative engine equals the retained recursive oracle
-    for every fan-in and crossover (full-permutation shapes)."""
-    rng = np.random.default_rng(seed)
-    pa, pb = random_permutation(n, rng), random_permutation(n, rng)
-    expected = multiply_permutations_reference(pa, pb, fanin=fanin, base_size=base_size)
-    got = multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=base_size)
-    assert got == expected
+    assert _via_padding(multiply_permutations_reference, pa, pb, base_size=4) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -283,13 +255,13 @@ def test_iterative_engine_bit_identity_property(n, fanin, base_size, seed):
     seed=st.integers(min_value=0, max_value=100_000),
 )
 def test_iterative_engine_subpermutation_identity_property(dims, fanin, seed):
-    """Property: engine bit-identity holds through the §4.1 padding reduction
-    (rectangular, empty and sub-permutation shapes)."""
+    """Property: the reference, the served engine and the dense oracle agree
+    through the §4.1 padding reduction (rectangular, empty and
+    sub-permutation shapes)."""
     n1, n2, n3 = dims
     rng = np.random.default_rng(seed)
     pa = random_subpermutation(n1, n2, int(rng.integers(0, min(n1, n2) + 1)), rng)
     pb = random_subpermutation(n2, n3, int(rng.integers(0, min(n2, n3) + 1)), rng)
     knobs = {"fanin": fanin, "base_size": 4}
-    iterative = _via_padding(multiply_permutations_iterative, pa, pb, **knobs)
     reference = _via_padding(multiply_permutations_reference, pa, pb, **knobs)
-    assert iterative == reference == multiply_dense(pa, pb)
+    assert reference == multiply(pa, pb) == multiply_dense(pa, pb)
