@@ -10,8 +10,7 @@
 # poll, cold/warm POST, per-shard /stats assertions reconciled against the
 # per-shard /metrics counters, trap teardown), a sampled serve-http cycle
 # (1% head rate: sampler counters tick, /debug/slo reconciles with /stats,
-# an SLO burn-rate artifact is recorded on shutdown and validated, and the
-# --slo-history JSONL persists window rows across the restart boundary), a
+# and an SLO burn-rate artifact is recorded on shutdown and validated), a
 # chaos serve-http cycle (--shards 2 under a seeded --fault-plan injecting
 # a worker hang, a worker crash and spill corruption, with a 500 ms
 # hung-worker timeout: every request answered or failed fast with a
@@ -48,7 +47,6 @@ SHARD_HTTP_PORT="${SHARD_HTTP_PORT:-8078}"
 SLO_HTTP_PORT="${SLO_HTTP_PORT:-8079}"
 CHAOS_HTTP_PORT="${CHAOS_HTTP_PORT:-8081}"
 SLO_ARTIFACT="${SLO_ARTIFACT:-/tmp/repro-smoke-slo.json}"
-SLO_HISTORY="${SLO_HISTORY:-/tmp/repro-smoke-slo-history.jsonl}"
 CHAOS_PLAN="${CHAOS_PLAN:-/tmp/repro-smoke-fault-plan.json}"
 
 SERVER_PID=""
@@ -332,10 +330,9 @@ SERVER_PID=""
 
 echo
 echo "== sampled serve-http cycle (1% head rate): tail retention + SLO record =="
-rm -f "${SLO_HISTORY}"
 python -m repro serve-http --port "${SLO_HTTP_PORT}" --duration 60 \
     --trace-head-rate 0.01 --trace-tail-min-ms 250 \
-    --slo-record "${SLO_ARTIFACT}" --slo-history "${SLO_HISTORY}" --slo-alerts &
+    --slo-record "${SLO_ARTIFACT}" &
 SERVER_PID=$!
 python - "${SLO_HTTP_PORT}" <<'EOF'
 import json
@@ -400,7 +397,6 @@ kill -INT "${SERVER_PID}"
 wait "${SERVER_PID}"
 SERVER_PID=""
 test -s "${SLO_ARTIFACT}" || { echo "missing SLO artifact ${SLO_ARTIFACT}"; exit 1; }
-test -s "${SLO_HISTORY}" || { echo "missing SLO history ${SLO_HISTORY}"; exit 1; }
 
 echo
 echo "== chaos serve-http cycle (--shards 2 + seeded fault plan): resilience =="

@@ -287,13 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on queued background index builds (POST /builds)",
     )
     serve_http_parser.add_argument(
-        "--coalesce-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="window in which same-index requests merge into one pass",
-    )
-    serve_http_parser.add_argument(
         "--retry-after",
         type=float,
         default=1.0,
@@ -388,34 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="on shutdown, evaluate the SLO engine against the final "
         "metrics snapshot and write the result as a schema-v1 artifact",
-    )
-    serve_http_parser.add_argument(
-        "--slo-history",
-        default=None,
-        metavar="PATH",
-        help="persist the SLO window history to a JSONL file and reload it "
-        "at startup, so burn rates survive server restarts",
-    )
-    serve_http_parser.add_argument(
-        "--slo-alerts",
-        action="store_true",
-        help="emit deduplicated page/ticket alerts as structured log lines "
-        "(periodic SLO evaluation with per-objective cooldown)",
-    )
-    serve_http_parser.add_argument(
-        "--slo-alert-webhook",
-        default=None,
-        metavar="URL",
-        help="additionally POST each emitted alert document to URL "
-        "(implies --slo-alerts; failures are counted, never fatal)",
-    )
-    serve_http_parser.add_argument(
-        "--slo-alert-cooldown",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="minimum spacing between repeat alerts for one objective at "
-        "an unchanged severity (transitions always emit immediately)",
     )
     serve_http_parser.add_argument(
         "--default-deadline-ms",
@@ -817,36 +782,25 @@ def _cmd_serve_http(args, out) -> int:
     if args.slo_config is not None:
         with open(args.slo_config, "r", encoding="utf-8") as fh:
             objectives = objectives_from_config(json.load(fh))
-    slo_engine = SLOEngine(objectives, history_path=args.slo_history)
-    alert_emitter = None
-    if args.slo_alerts or args.slo_alert_webhook:
-        from ..obs.alerts import AlertEmitter
-
-        alert_emitter = AlertEmitter(
-            cooldown_seconds=args.slo_alert_cooldown,
-            webhook_url=args.slo_alert_webhook,
-        )
     handle = start_server(
         service,
         host=args.host,
         port=args.port,
         max_inflight=args.max_inflight,
         build_queue_limit=args.build_queue,
-        coalesce_seconds=args.coalesce_ms / 1000.0,
         retry_after_seconds=args.retry_after,
         default_seed=args.seed,
         trace_capacity=args.trace_capacity,
         sampler=sampler,
-        slo_engine=slo_engine,
+        slo_engine=SLOEngine(objectives),
         default_deadline_ms=args.default_deadline_ms,
-        alert_emitter=alert_emitter,
     )
     shard_note = (
         f", shards={service.shards}" if isinstance(service, ShardRouter) else ""
     )
     print(
-        f"listening on {handle.url} (max_inflight={handle.core.max_inflight}, "
-        f"coalesce={handle.core.coalesce_seconds * 1000:.1f} ms{shard_note})",
+        f"listening on {handle.url} (max_inflight={handle.core.max_inflight}"
+        f"{shard_note})",
         file=out,
         flush=True,
     )

@@ -1140,7 +1140,6 @@ def run_service_latency_point(
     rate: float = 120.0,
     duration: float = 0.8,
     max_inflight: int = 64,
-    coalesce_seconds: float = 0.002,
 ) -> Dict[str, Any]:
     """One load-generator measurement against an in-process HTTP server.
 
@@ -1154,11 +1153,7 @@ def run_service_latency_point(
     from ..server import get_json, post_json, run_load, start_server
 
     documents = _latency_documents(workload, n, seed, batch)
-    handle = start_server(
-        QueryService(cache=IndexCache()),
-        max_inflight=max_inflight,
-        coalesce_seconds=coalesce_seconds,
-    )
+    handle = start_server(QueryService(cache=IndexCache()), max_inflight=max_inflight)
     try:
         warm_status, _, warm_body = post_json(handle.url + "/v2/batch", documents[0])
         assert warm_status == 200 and warm_body["errors"] == 0, (
@@ -1287,7 +1282,6 @@ register_spec(
             "rate": 120.0,
             "duration": 0.8,
             "max_inflight": 64,
-            "coalesce_seconds": 0.002,
         },
         quick_grid={"pattern": ["closed", "open"], "batch": [4]},
         quick_fixed={"n": 512, "total": 32, "rate": 80.0, "duration": 0.5},

@@ -34,8 +34,6 @@ actually evaluated.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from collections import deque
@@ -193,7 +191,6 @@ class SLOEngine:
         *,
         clock: Callable[[], float] = time.time,
         max_points: int = 4096,
-        history_path: Optional[str] = None,
     ) -> None:
         self.objectives = list(objectives) if objectives is not None else default_objectives()
         if not self.objectives:
@@ -204,116 +201,26 @@ class SLOEngine:
         self._history: "deque[Tuple[float, Dict[str, Tuple[float, float]]]]" = deque(
             maxlen=max_points
         )
-        #: Restart continuity: the last persisted cumulative totals.  The
-        #: registry counters reset to zero with the process, so every fresh
-        #: total is shifted by these offsets — the persisted series stays
-        #: monotone across restarts and windowed deltas never go negative.
-        self._offsets: Dict[str, Tuple[float, float]] = {}
-        self.history_path = history_path
-        self._persisted_rows = 0
-        if history_path is not None:
-            self._load_history(history_path)
-
-    # ----------------------------------------------------------- persistence
-    def _load_history(self, path: str) -> None:
-        """Reload persisted ``(ts, totals)`` points and set restart offsets.
-
-        Rows outside the widest window are dropped; unparsable lines (a torn
-        final append from a crash) are skipped rather than failing startup.
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return
-        horizon = self._clock() - WINDOWS[-1][1] - 60.0
-        points: List[Tuple[float, Dict[str, Tuple[float, float]]]] = []
-        last_totals: Optional[Dict[str, Tuple[float, float]]] = None
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                ts = float(row["ts"])
-                totals = {
-                    str(name): (float(pair[0]), float(pair[1]))
-                    for name, pair in row["totals"].items()
-                }
-            except (KeyError, TypeError, ValueError, IndexError, json.JSONDecodeError):
-                continue
-            last_totals = totals
-            if ts >= horizon:
-                points.append((ts, totals))
-        with self._lock:
-            self._history.extend(points)
-            self._persisted_rows = len(points)
-        if last_totals is not None:
-            self._offsets = dict(last_totals)
-
-    def _persist(self, now: float, totals: Dict[str, Tuple[float, float]]) -> None:
-        # Callers hold self._lock.  Append one JSONL row; when the file has
-        # accumulated well past the in-memory ring, compact it down to the
-        # pruned history so it cannot grow without bound.
-        if self.history_path is None:
-            return
-        row = json.dumps(
-            {"ts": now, "totals": {name: list(pair) for name, pair in totals.items()}}
-        )
-        try:
-            maxlen = self._history.maxlen or 4096
-            if self._persisted_rows >= 2 * maxlen:
-                tmp_path = f"{self.history_path}.{os.getpid()}.tmp"
-                with open(tmp_path, "w", encoding="utf-8") as handle:
-                    for ts, point in self._history:
-                        handle.write(
-                            json.dumps(
-                                {
-                                    "ts": ts,
-                                    "totals": {
-                                        name: list(pair) for name, pair in point.items()
-                                    },
-                                }
-                            )
-                            + "\n"
-                        )
-                os.replace(tmp_path, self.history_path)
-                self._persisted_rows = len(self._history)
-            else:
-                with open(self.history_path, "a", encoding="utf-8") as handle:
-                    handle.write(row + "\n")
-                self._persisted_rows += 1
-        except OSError:
-            # Persistence is best-effort: a full disk must not take down
-            # request serving or in-memory burn-rate evaluation.
-            pass
 
     # ------------------------------------------------------------- recording
     def record(self, snapshot: Mapping[str, Any], now: Optional[float] = None) -> None:
         """Fold one snapshot's cumulative totals into the window history."""
         now = self._clock() if now is None else float(now)
-        totals: Dict[str, Tuple[float, float]] = {}
-        for objective in self.objectives:
-            good, total = _objective_totals(objective, snapshot)
-            offset = self._offsets.get(objective.name)
-            if offset is not None:
-                good, total = good + offset[0], total + offset[1]
-            totals[objective.name] = (good, total)
+        totals = {
+            objective.name: _objective_totals(objective, snapshot)
+            for objective in self.objectives
+        }
         horizon = now - WINDOWS[-1][1] - 60.0
         with self._lock:
             self._history.append((now, totals))
             while self._history and self._history[0][0] < horizon:
                 self._history.popleft()
-            self._persist(now, totals)
 
     def totals_summary(self, snapshot: Mapping[str, Any]) -> Dict[str, Any]:
         """Point-in-time cumulative totals per objective (``/stats`` view)."""
         out: Dict[str, Any] = {}
         for objective in self.objectives:
             good, total = _objective_totals(objective, snapshot)
-            offset = self._offsets.get(objective.name)
-            if offset is not None:
-                good, total = good + offset[0], total + offset[1]
             out[objective.name] = {
                 "kind": objective.kind,
                 "target": objective.target,

@@ -75,7 +75,6 @@ from ..obs.metrics import (
     render_prometheus,
     timing_summary,
 )
-from ..obs.alerts import AlertEmitter
 from ..obs.sampling import TraceSampler
 from ..obs.slo import SLOEngine
 from ..obs.trace import Tracer, current_trace_id, span, span_event
@@ -194,15 +193,12 @@ class ServerCore:
         *,
         max_inflight: int = 64,
         build_queue_limit: int = 8,
-        coalesce_seconds: float = 0.002,
         retry_after_seconds: float = 1.0,
         default_seed: Optional[int] = None,
         trace_capacity: int = 128,
         sampler: Optional[TraceSampler] = None,
         slo_engine: Optional[SLOEngine] = None,
         default_deadline_ms: Optional[float] = None,
-        alert_emitter: Optional[AlertEmitter] = None,
-        slo_eval_seconds: float = 5.0,
     ) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be positive, got {max_inflight}")
@@ -212,15 +208,12 @@ class ServerCore:
             raise ValueError(
                 f"default_deadline_ms must be positive, got {default_deadline_ms}"
             )
-        if slo_eval_seconds <= 0:
-            raise ValueError(f"slo_eval_seconds must be positive, got {slo_eval_seconds}")
         self.service = service if service is not None else QueryService()
         # Shard routers advertise how many calls may run at once; plain
         # services default to 1 and keep the historical strict serialisation.
         self.service_concurrency = max(1, int(getattr(self.service, "concurrency", 1) or 1))
         self.max_inflight = int(max_inflight)
         self.build_queue_limit = int(build_queue_limit)
-        self.coalesce_seconds = float(coalesce_seconds)
         self.retry_after_seconds = float(retry_after_seconds)
         self.default_seed = default_seed
 
@@ -255,11 +248,6 @@ class ServerCore:
         #: not carry its own ``X-Repro-Deadline-Ms`` header.  ``None`` keeps
         #: the historical unbounded behaviour.
         self.default_deadline_ms = default_deadline_ms
-        #: Deduplicated page/ticket emission; when set, a background loop
-        #: evaluates the SLO engine every ``slo_eval_seconds`` and feeds
-        #: the verdicts through the emitter.
-        self.alert_emitter = alert_emitter
-        self.slo_eval_seconds = float(slo_eval_seconds)
 
         self.inflight = 0
         self.peak_inflight = 0
@@ -314,7 +302,7 @@ class ServerCore:
         )
         self._internal_errors = counter(
             "repro_server_internal_errors_total",
-            "Unexpected errors answered with 500 (or swallowed by the SLO loop)",
+            "Unexpected errors answered with 500",
         )
         self._queue_wait = histogram(
             "repro_server_queue_wait_seconds",
@@ -353,27 +341,6 @@ class ServerCore:
         self._executor = ThreadPoolExecutor(
             max_workers=self.service_concurrency, thread_name_prefix="repro-service"
         )
-        if self.alert_emitter is not None or self.slo.history_path is not None:
-            # Continuous evaluation matters when someone is listening
-            # (alerts) or when the window history must persist across
-            # restarts; otherwise /debug/slo evaluates on demand as before.
-            self._spawn(self._slo_loop())
-
-    def _evaluate_slo(self) -> Dict[str, Any]:
-        """One SLO tick (runs on the service thread: snapshots poll pipes)."""
-        document = self.slo.evaluate(self.metrics_snapshot())
-        if self.alert_emitter is not None:
-            self.alert_emitter.consume(document)
-        return document
-
-    async def _slo_loop(self) -> None:
-        """Periodic SLO evaluation: feeds the alert emitter + history file."""
-        while True:
-            await asyncio.sleep(self.slo_eval_seconds)
-            try:
-                await self._in_service_thread(self._evaluate_slo)
-            except Exception:  # noqa: BLE001 — the eval loop must survive
-                self._internal_errors.inc()
 
     async def shutdown(self) -> None:
         get_registry().unregister_collector(self.registry.snapshot)
@@ -818,11 +785,11 @@ class ServerCore:
                     pending = _PendingPass(key, self._loop)
                     offset = pending.add(requests)
                     self._pending[key] = pending
-                    self._spawn(self._run_pass(pending, coalescable=True))
+                    self._spawn(self._run_pass(pending))
             else:
                 pending = _PendingPass(key, self._loop)
                 offset = pending.add(requests)
-                self._spawn(self._run_pass(pending, coalescable=False))
+                self._spawn(self._run_pass(pending))
             if coalesce_span is not None:
                 coalesce_span.set(joined=joined)
 
@@ -906,13 +873,14 @@ class ServerCore:
                 )
         return entries
 
-    async def _run_pass(self, pending: _PendingPass, coalescable: bool) -> None:
-        """Seal and execute one pending pass on the service thread."""
+    async def _run_pass(self, pending: _PendingPass) -> None:
+        """Seal and execute one pending pass on the service thread.
+
+        The pass stays open until it takes a service slot, so it collects
+        exactly the requests that arrive while every slot is busy: a lone
+        request runs at once, a burst behind a running pass merges.
+        """
         try:
-            if coalescable and self.coalesce_seconds > 0:
-                # A short open window lets near-simultaneous requests join
-                # even when the service lock is free.
-                await asyncio.sleep(self.coalesce_seconds)
             async with self._service_lock:
                 pending.sealed = True
                 if self._pending.get(pending.key) is pending:
@@ -1164,7 +1132,6 @@ class ServerCore:
             "service_concurrency": self.service_concurrency,
             "inflight": self.inflight,
             "peak_inflight": self.peak_inflight,
-            "coalesce_seconds": self.coalesce_seconds,
             "build_queue_limit": self.build_queue_limit,
             "internal_errors": self._internal_errors.value(),
             "native_kernel": int(get_registry().gauge("repro_native_kernel").value()),
@@ -1181,12 +1148,6 @@ class ServerCore:
             },
             "resilience": {
                 "default_deadline_ms": self.default_deadline_ms,
-                "alerts": (
-                    self.alert_emitter.stats()
-                    if self.alert_emitter is not None
-                    else None
-                ),
-                "slo_history_path": self.slo.history_path,
             },
             "coalescing": {
                 "passes": self._passes.value(),

@@ -141,46 +141,16 @@ def start_server(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    max_inflight: int = 64,
-    build_queue_limit: int = 8,
-    coalesce_seconds: float = 0.002,
-    retry_after_seconds: float = 1.0,
-    default_seed: Optional[int] = None,
-    trace_capacity: int = 128,
-    sampler: Optional[Any] = None,
-    slo_engine: Optional[Any] = None,
-    default_deadline_ms: Optional[float] = None,
-    alert_emitter: Optional[Any] = None,
-    slo_eval_seconds: float = 5.0,
+    **core_options: Any,
 ) -> ServerHandle:
     """Start an HTTP front-end; returns a :class:`ServerHandle` (``port=0`` ⇒ ephemeral).
 
-    ``sampler`` (:class:`~repro.obs.sampling.TraceSampler`) and
-    ``slo_engine`` (:class:`~repro.obs.slo.SLOEngine`) configure trace
-    retention and the ``/debug/slo`` objectives; ``None`` means the core's
-    defaults (keep every trace, stock objectives).  ``default_deadline_ms``
-    puts a budget on every batch that does not send its own
-    ``X-Repro-Deadline-Ms``; ``alert_emitter``
-    (:class:`~repro.obs.alerts.AlertEmitter`) turns on the periodic SLO
-    evaluation loop (every ``slo_eval_seconds``) with deduplicated
-    page/ticket emission.
+    Every keyword besides ``host`` and ``port`` goes to
+    :class:`~repro.server.core.ServerCore`, which owns the defaults.
 
     The caller owns the handle: ``handle.stop()`` tears the transport and the
     core down.
     """
-    core = ServerCore(
-        service,
-        max_inflight=max_inflight,
-        build_queue_limit=build_queue_limit,
-        coalesce_seconds=coalesce_seconds,
-        retry_after_seconds=retry_after_seconds,
-        default_seed=default_seed,
-        trace_capacity=trace_capacity,
-        sampler=sampler,
-        slo_engine=slo_engine,
-        default_deadline_ms=default_deadline_ms,
-        alert_emitter=alert_emitter,
-        slo_eval_seconds=slo_eval_seconds,
-    )
+    core = ServerCore(service, **core_options)
     bound_port, stop = _start_asyncio(core, host, port)
     return ServerHandle(core=core, host=host, port=bound_port, _stop=stop)

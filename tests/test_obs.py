@@ -241,7 +241,7 @@ def sharded_server():
     from repro.service import ShardRouter
 
     router = ShardRouter(2)
-    handle = start_server(router, coalesce_seconds=0.001)
+    handle = start_server(router)
     yield handle
     handle.stop()
 

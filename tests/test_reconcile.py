@@ -99,7 +99,7 @@ def _well_formed(entry) -> bool:
 
 
 async def _drive(service, batches, oversize):
-    core = ServerCore(service, max_inflight=MAX_INFLIGHT, coalesce_seconds=0.0)
+    core = ServerCore(service, max_inflight=MAX_INFLIGHT)
     await core.startup()
     try:
         replies = []

@@ -24,8 +24,6 @@ import time
 
 import pytest
 
-from repro.obs.alerts import AlertEmitter
-from repro.obs.slo import SLOEngine, SLObjective, WINDOWS
 from repro.resilience import (
     BREAKER_STATE_CODES,
     BreakerConfig,
@@ -386,138 +384,6 @@ class TestFaultPlan:
         assert stats["fired_total"] == 1
         assert stats["rules"][0]["hit_count"] == 2
         assert stats["rules"][0]["fired"] == 1
-
-
-# ------------------------------------------------------- SLO history + alerts
-class TestSLOHistory:
-    def _snapshot(self, good, total):
-        return {
-            "repro_http_requests_total": {
-                "type": "counter",
-                "samples": [
-                    [[["method", "POST"], ["route", "/v2/batch"], ["status", "200"]], good],
-                    [[["method", "POST"], ["route", "/v2/batch"], ["status", "500"]], total - good],
-                ],
-            }
-        }
-
-    def _objective(self):
-        return SLObjective(
-            name="avail", kind="availability", target=0.99, route="/v2/batch"
-        )
-
-    def test_history_persists_and_reloads(self, tmp_path):
-        path = str(tmp_path / "slo.jsonl")
-        clock = FakeClock(start=100000.0)
-        engine = SLOEngine([self._objective()], clock=clock, history_path=path)
-        engine.record(self._snapshot(90, 100))
-        clock.advance(60.0)
-        engine.record(self._snapshot(180, 200))
-
-        reloaded = SLOEngine([self._objective()], clock=clock, history_path=path)
-        assert len(reloaded._history) == 2
-        assert reloaded._history[-1][1]["avail"] == (180.0, 200.0)
-
-    def test_offsets_keep_the_series_monotone_across_restart(self, tmp_path):
-        path = str(tmp_path / "slo.jsonl")
-        clock = FakeClock(start=100000.0)
-        engine = SLOEngine([self._objective()], clock=clock, history_path=path)
-        engine.record(self._snapshot(500, 600))
-
-        # "Restart": fresh process counters start from zero again.
-        clock.advance(30.0)
-        restarted = SLOEngine([self._objective()], clock=clock, history_path=path)
-        restarted.record(self._snapshot(10, 10))
-        times_totals = list(restarted._history)
-        assert times_totals[-1][1]["avail"] == (510.0, 610.0)  # offset applied
-        # Once the pre-restart row sits at the 5m edge it becomes the
-        # window baseline: the delta over the restart is the fresh traffic
-        # only — no negative jump, no double count.
-        clock.advance(280.0)
-        doc = restarted.evaluate(self._snapshot(10, 10))
-        window = doc["objectives"][0]["windows"]["5m"]
-        assert window["total"] == pytest.approx(10.0)
-        assert window["good"] == pytest.approx(10.0)
-
-    def test_old_rows_pruned_on_load(self, tmp_path):
-        path = tmp_path / "slo.jsonl"
-        clock = FakeClock(start=1000000.0)
-        stale_ts = clock.now - WINDOWS[-1][1] - 3600.0
-        rows = [
-            {"ts": stale_ts, "totals": {"avail": [1, 2]}},
-            {"ts": clock.now - 10.0, "totals": {"avail": [3, 4]}},
-            "not json at all",
-        ]
-        path.write_text(
-            "\n".join(r if isinstance(r, str) else json.dumps(r) for r in rows) + "\n"
-        )
-        engine = SLOEngine([self._objective()], clock=clock, history_path=str(path))
-        assert len(engine._history) == 1
-        assert engine._history[0][1]["avail"] == (3.0, 4.0)
-
-    def test_no_history_path_means_no_files(self, tmp_path):
-        engine = SLOEngine([self._objective()], clock=FakeClock())
-        engine.record(self._snapshot(1, 1))
-        assert list(tmp_path.iterdir()) == []
-
-
-class TestAlertEmitter:
-    def _doc(self, severity):
-        return {
-            "objectives": [
-                {
-                    "name": "avail",
-                    "alerts": {"severity": severity},
-                    "windows": {"5m": {"burn_rate": 20.0}},
-                }
-            ]
-        }
-
-    def test_transition_fires_and_steady_state_dedups(self):
-        clock = FakeClock()
-        seen = []
-        emitter = AlertEmitter(cooldown_seconds=60.0, sink=seen.append, clock=clock)
-        assert emitter.consume(self._doc("ok")) == []  # healthy start: quiet
-        fired = emitter.consume(self._doc("page"))
-        assert len(fired) == 1 and fired[0]["event"] == "fired"
-        clock.advance(10.0)
-        assert emitter.consume(self._doc("page")) == []  # within cooldown
-        assert emitter.suppressed_total == 1
-        clock.advance(60.0)
-        reminder = emitter.consume(self._doc("page"))
-        assert len(reminder) == 1 and reminder[0]["event"] == "reminder"
-        assert len(seen) == 2
-
-    def test_severity_change_bypasses_cooldown(self):
-        clock = FakeClock()
-        emitter = AlertEmitter(cooldown_seconds=600.0, sink=lambda a: None, clock=clock)
-        emitter.consume(self._doc("page"))
-        clock.advance(1.0)
-        changed = emitter.consume(self._doc("ticket"))
-        assert len(changed) == 1 and changed[0]["severity"] == "ticket"
-
-    def test_recovery_emits_resolved_exactly_once(self):
-        clock = FakeClock()
-        events = []
-        emitter = AlertEmitter(
-            cooldown_seconds=0.0, sink=lambda a: events.append(a["event"]), clock=clock
-        )
-        emitter.consume(self._doc("page"))
-        emitter.consume(self._doc("ok"))
-        emitter.consume(self._doc("ok"))
-        emitter.consume(self._doc("ok"))
-        assert events == ["fired", "resolved"]
-        assert emitter.stats()["active"] == {}
-
-    def test_webhook_failure_is_counted_not_raised(self):
-        emitter = AlertEmitter(
-            cooldown_seconds=0.0,
-            sink=lambda a: None,
-            webhook_url="http://127.0.0.1:1/unroutable",
-            webhook_timeout_seconds=0.2,
-        )
-        emitter.consume(self._doc("page"))
-        assert emitter.webhook_errors == 1
 
 
 # ----------------------------------------------------- router integration

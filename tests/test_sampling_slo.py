@@ -409,7 +409,6 @@ def sampled_server():
     sampler = TraceSampler(0.01, tail_min_seconds=0.25)
     handle = start_server(
         _SlowService(QueryService(), delay=0.4),
-        coalesce_seconds=0.0,
         sampler=sampler,
         trace_capacity=64,
     )
@@ -524,7 +523,7 @@ class TestChromeDownloadHeader:
     def test_content_disposition_names_the_trace(self, transport):
         import urllib.request
 
-        handle = start_server(coalesce_seconds=0.0)
+        handle = start_server()
         try:
             status, _, body = post_json(
                 handle.url + "/v2/batch", _doc("dl", seed=3)

@@ -100,6 +100,58 @@ def _serial_answers(documents):
     return answers
 
 
+class _GatedService(QueryService):
+    """A service whose first ``submit`` holds the service thread until released.
+
+    Passes queued behind the held one stay open, so every request that
+    arrives meanwhile joins them: merges happen on demand, not by timing.
+    """
+
+    #: An LCS request, so a monkeypatched LIS builder cannot fail the gate.
+    GATE = {"requests": [{"op": "lcs_length", "id": "gate", "s": [1, 2, 3], "t": [2, 3, 4]}]}
+
+    def __init__(self):
+        super().__init__(cache=IndexCache())
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def submit(self, requests):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(timeout=30), "gate never released"
+        return super().submit(requests)
+
+
+def _post_while_gated(handle, service, documents):
+    """POST each document from its own thread while the service thread is held.
+
+    Returns the ``(status, headers, body)`` replies in document order, once
+    every request was received before the gate opened.
+    """
+    gate = threading.Thread(target=post_json, args=(handle.url + "/v2/batch", service.GATE))
+    gate.start()
+    assert service.entered.wait(timeout=30)
+    results = [None] * len(documents)
+
+    def worker(slot):
+        results[slot] = post_json(handle.url + "/v2/batch", documents[slot])
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(len(documents))]
+    for thread in threads:
+        thread.start()
+    expected = 1 + sum(len(document["requests"]) for document in documents)
+    deadline = time.monotonic() + 30
+    try:
+        while get_json(handle.url + "/stats")[2]["requests"]["received"] < expected:
+            assert time.monotonic() < deadline, "requests never reached the server"
+            time.sleep(0.005)
+    finally:
+        service.release.set()
+        for thread in [gate, *threads]:
+            thread.join()
+    return results
+
+
 # ---------------------------------------------------------------- plumbing
 @pytest.mark.parametrize("transport", (TRANSPORT,))
 class TestRoutes:
@@ -166,21 +218,14 @@ class TestConcurrentBitIdentity:
     def test_32_tasks_match_serial_oracle_with_coalescing(self):
         documents = _mixed_documents()
         expected = _serial_answers(documents)
-        handle = start_server(coalesce_seconds=0.02, max_inflight=256)
+        service = _GatedService()
+        handle = start_server(service, max_inflight=256)
         try:
-            results = [None] * 32
-
-            def worker(slot):
-                variant = slot % len(documents)
-                results[slot] = (variant, post_json(handle.url + "/v2/batch", documents[variant]))
-
-            threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(32)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-
-            for variant, (status, _, body) in results:
+            variants = [slot % len(documents) for slot in range(32)]
+            replies = _post_while_gated(
+                handle, service, [documents[variant] for variant in variants]
+            )
+            for variant, (status, _, body) in zip(variants, replies):
                 assert status == 200, body
                 assert body["errors"] == 0
                 observed = [entry["result"] for entry in body["results"]]
@@ -196,24 +241,46 @@ class TestConcurrentBitIdentity:
             assert coalescing["coalesced_requests"] >= 1
             assert coalescing["failed_passes"] == 0
             assert coalescing["inflight_fingerprints"] == 0  # map fully drained
-            assert stats["requests"]["received"] == 32 * 5
-            assert stats["requests"]["answered"] == 32 * 5
+            assert stats["requests"]["received"] == 1 + 32 * 5
+            assert stats["requests"]["answered"] == 1 + 32 * 5
             assert stats["requests"]["failed"] == 0
             # Coalescing genuinely saved work: fewer passes than request groups.
             assert coalescing["passes"] < 32 * 5
             # Timings count observations: one per request group per pass.
             answer = stats["timings"]["answer"]
-            assert coalescing["passes"] <= answer["count"] <= 32 * 5
+            assert coalescing["passes"] <= answer["count"] <= 1 + 32 * 5
             assert answer["mean_seconds"] * answer["count"] == pytest.approx(
                 answer["total_seconds"]
             )
         finally:
             handle.stop()
 
+    def test_sequential_requests_to_an_idle_server_never_merge(self):
+        # With the service idle a pass takes its slot at once, so nothing
+        # waits to be merged: two requests in a row run two passes.
+        document = {
+            "requests": [
+                {"op": "lis_length", "id": "q", "workload": "random", "n": 256, "seed": 5}
+            ]
+        }
+        handle = start_server()
+        try:
+            for _ in range(2):
+                status, _, body = post_json(handle.url + "/v2/batch", document)
+                assert status == 200 and body["ok"] == 1
+                assert body["results"][0]["coalesced"] is False
+            _, _, stats = get_json(handle.url + "/stats")
+            coalescing = stats["coalescing"]
+            assert coalescing["passes"] == 2
+            assert coalescing["merged_passes"] == 0
+            assert coalescing["coalesced_requests"] == 0
+        finally:
+            handle.stop()
+
     def test_closed_loop_load_generator_matches_oracle(self):
         documents = _mixed_documents()[:4]
         expected = _serial_answers(documents)
-        handle = start_server(coalesce_seconds=0.01)
+        handle = start_server()
         try:
             report = run_load(
                 handle.url, documents, pattern="closed", total=24, concurrency=6
@@ -244,7 +311,7 @@ def _series_total(parsed, name, *label_sets):
 
 class TestTimingsMatchMetrics:
     def test_queue_wait_counts_passes_not_requests(self):
-        handle = start_server(coalesce_seconds=0.0)
+        handle = start_server()
         try:
             document = {
                 "requests": [
@@ -273,7 +340,7 @@ class TestTimingsMatchMetrics:
     def test_router_shard_exec_reads_the_pipe_histogram(self):
         from repro.service import ShardRouter
 
-        handle = start_server(ShardRouter(2), coalesce_seconds=0.0)
+        handle = start_server(ShardRouter(2))
         try:
             status, _, body = post_json(handle.url + "/v2/batch", _mixed_documents()[0])
             assert status == 200 and body["errors"] == 0
@@ -305,7 +372,7 @@ class TestTimingsMatchMetrics:
 # ------------------------------------------------------------- fault injection
 class TestFaultInjection:
     def test_failing_build_is_isolated_and_server_recovers(self, monkeypatch):
-        handle = start_server(coalesce_seconds=0.0)
+        handle = start_server()
         try:
             lis_doc = {
                 "schema": "repro.service.requests",
@@ -346,10 +413,10 @@ class TestFaultInjection:
             handle.stop()
 
     def test_failure_propagates_to_every_coalesced_contributor(self, monkeypatch):
-        handle = start_server(coalesce_seconds=0.05)
+        service = _GatedService()
+        handle = start_server(service)
         try:
             def exploding_builder(*args, **kwargs):
-                time.sleep(0.05)
                 raise RuntimeError("injected build failure")
 
             monkeypatch.setattr(serving_module, "build_lis_index", exploding_builder)
@@ -359,21 +426,14 @@ class TestFaultInjection:
                     {"op": "lis_length", "id": "q", "workload": "random", "n": 64, "seed": 99}
                 ],
             }
-            results = []
-
-            def worker():
-                results.append(post_json(handle.url + "/v2/batch", document))
-
-            threads = [threading.Thread(target=worker) for _ in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            for status, _, body in results:
+            for status, _, body in _post_while_gated(handle, service, [document] * 6):
                 assert status == 200
                 assert body["results"][0]["status"] == "error"
                 assert "injected build failure" in body["results"][0]["error"]
             _, _, stats = get_json(handle.url + "/stats")
+            # All six joined one pass, and its failure reached each of them.
+            assert stats["coalescing"]["failed_passes"] == 1
+            assert stats["coalescing"]["coalesced_requests"] == 5
             assert stats["coalescing"]["inflight_fingerprints"] == 0
             assert stats["requests"]["failed"] == 6
         finally:
@@ -412,7 +472,7 @@ class TestBackpressure:
             return real_builder(*args, **kwargs)
 
         monkeypatch.setattr(serving_module, "build_lis_index", slow_builder)
-        handle = start_server(max_inflight=2, coalesce_seconds=0.0, retry_after_seconds=0.5)
+        handle = start_server(max_inflight=2, retry_after_seconds=0.5)
         try:
             results = []
             lock = threading.Lock()
