@@ -8,7 +8,8 @@
 # bounds, exemplar annotations parsed and resolved via /debug/traces ->
 # teardown even on failure), a sharded serve-http cycle (--shards 2: health
 # poll, cold/warm POST, per-shard /stats assertions reconciled against the
-# per-shard /metrics counters, trap teardown), a sampled serve-http cycle
+# per-shard /metrics counters, cache lookups and index builds included, trap
+# teardown), a sampled serve-http cycle
 # (1% head rate: sampler counters tick, /debug/slo reconciles with /stats,
 # and an SLO burn-rate artifact is recorded on shutdown and validated), a
 # chaos serve-http cycle (--shards 2 under a seeded --fault-plan injecting
@@ -300,6 +301,22 @@ for shard_id, expected in enumerate(service["load"]["per_shard_requests"]):
     )
 assert "repro_shard_pipe_seconds_count" in parsed, "pipe timing histogram missing"
 
+# Service-layer counts reconcile: each shard's cache and build series sum to
+# the /stats totals.
+def shard_total(name, **labels):
+    wanted = set(labels.items())
+    return sum(
+        value for key, value in parsed.get(name, {}).items()
+        if wanted <= set(key) and "shard" in dict(key)
+    )
+
+
+for key, result in (("hits", "hit"), ("misses", "miss")):
+    observed = shard_total("repro_cache_lookups_total", result=result)
+    assert service["cache"][key] == observed, (key, service["cache"], observed)
+built = shard_total("repro_index_builds_total")
+assert service["indexes_built"] == built == 7, (service["indexes_built"], built)
+
 # Server-level counts reconcile too: /stats reads the metrics /metrics renders.
 passes = parsed["repro_server_passes_total"][()]
 assert stats["coalescing"]["passes"] == passes, (stats["coalescing"], passes)
@@ -319,8 +336,9 @@ assert {"edge", "coalesce", "route", "worker", "answer"} <= names, names
 print(
     f"sharded serve-http OK: workers={service['workers']}, "
     f"per-shard requests={service['load']['per_shard_requests']} "
-    f"(reconciled with /metrics, as are passes, rejections and queue-wait "
-    f"observations), trace {trace_id} spans={sorted(names)}, "
+    f"(reconciled with /metrics, as are cache lookups, index builds, passes, "
+    f"rejections and queue-wait observations), trace {trace_id} "
+    f"spans={sorted(names)}, "
     f"cold->warm shard-cache hit verified"
 )
 EOF

@@ -750,9 +750,7 @@ def _cmd_serve(args, out) -> int:
             write_document(document, args.artifact)
             print(f"wrote artifact: {args.artifact}", file=out)
     finally:
-        close = getattr(service, "close", None)
-        if callable(close):
-            close()
+        service.close()
     return 0
 
 

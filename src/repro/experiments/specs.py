@@ -820,10 +820,12 @@ def run_service_throughput_point(
     cached_qps = batch / warm_seconds if warm_seconds > 0 else float("inf")
     naive_qps = 1.0 / naive_per_query if naive_per_query > 0 else float("inf")
     checksum = weighted_checksum(answers)
-    counters = service.cache.counters()
+    stats = service.stats()
+    service.close()
+    counters = stats["cache"]
     return {
         "n": n,
-        "build_seconds": service.build_seconds,
+        "build_seconds": stats["build_seconds"],
         "warm_batch_seconds": warm_seconds,
         "cached_qps": cached_qps,
         "naive_per_query_seconds": naive_per_query,
@@ -864,6 +866,7 @@ def timer_service_throughput() -> Callable[[], Any]:
     target = TargetSpec(kind="sequence", workload="random", n=n, seed=7)
     i_arr, j_arr = _service_query_windows(n, batch, 7)
     service = QueryService(cache=IndexCache(), mode="mpc")
+    service.close()  # nothing scrapes it; keep it off the process registry
     requests = [
         QueryRequest(op="substring_query", target=target, request_id="batch", i=i_arr, j=j_arr)
     ]
@@ -1180,6 +1183,7 @@ def run_service_latency_point(
         _, requests = parse_requests_document(document)
         outcome = oracle.submit(requests).outcomes[0]
         expected[variant] = [outcome.result]
+    oracle.close()
     mismatches = 0
     for variant, observed_lists in report.answers.items():
         for observed in observed_lists:
@@ -1405,6 +1409,7 @@ def run_shard_scaling_point(
 
     oracle = QueryService(cache=IndexCache())
     expected = oracle.submit(requests).outcomes
+    oracle.close()
     expected_values = [np.asarray(outcome.result, dtype=np.int64) for outcome in expected]
     answers_checksum = weighted_checksum(_outcome_values(expected))
 

@@ -38,6 +38,7 @@ __all__ = [
     "timing_summary",
     "merge_snapshots",
     "relabel_snapshot",
+    "snapshot_sum",
     "gauge_fragment",
     "render_prometheus",
     "parse_prometheus_text",
@@ -262,8 +263,9 @@ class MetricsRegistry:
     shares one metric object.  ``collectors`` are zero-argument callables
     returning snapshot fragments, evaluated at :meth:`snapshot` time — used
     for values that already live elsewhere (e.g. the per-instance registry
-    of a server core or shard router, whose counters ``/stats`` reads back),
-    so the exposition *reconciles exactly* with ``/stats``.
+    of a server core, shard router, query service or index cache, whose
+    counters ``/stats`` reads back), so the exposition *reconciles exactly*
+    with ``/stats``.
     """
 
     def __init__(self) -> None:
@@ -445,6 +447,21 @@ def _copy_value(kind: str, value: Any) -> Any:
             copied["exemplars"] = {b: dict(ex) for b, ex in value["exemplars"].items()}
         return copied
     return value
+
+
+def snapshot_sum(
+    snapshot: Dict[str, Any], name: str, field: Optional[str] = None, **labels: Any
+) -> float:
+    """Sum of ``name``'s samples whose labels include ``labels`` (0 if absent).
+
+    A histogram sums the ``field`` (``"count"`` or ``"sum"``) of each sample.
+    """
+    wanted = {(str(key), str(value)) for key, value in labels.items()}
+    return sum(
+        value[field] if field else value
+        for labels_kv, value in snapshot.get(name, {}).get("samples", [])
+        if wanted <= {(str(key), str(val)) for key, val in labels_kv}
+    )
 
 
 def relabel_snapshot(snapshot: Dict[str, Any], extra: Mapping[str, Any]) -> Dict[str, Any]:

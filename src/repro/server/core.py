@@ -346,12 +346,10 @@ class ServerCore:
         get_registry().unregister_collector(self.registry.snapshot)
         for task in list(self._tasks):
             task.cancel()
-        close = getattr(self.service, "close", None)
-        if callable(close) and self._executor is not None:
-            # Shard routers own worker processes; tear them down off-loop
-            # while the executor is still alive.
-            await self._loop.run_in_executor(self._executor, close)
         if self._executor is not None:
+            # Close the service off-loop while the executor is still alive:
+            # a shard router's worker processes take a while to stop.
+            await self._loop.run_in_executor(self._executor, self.service.close)
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
 
@@ -502,6 +500,8 @@ class ServerCore:
     async def _route(
         self, method: str, path: str, query: Dict[str, List[str]], body: bytes
     ) -> Any:
+        # Scrapes read shard workers over pipes that block while a worker is
+        # busy: they run on a pool thread, off the loop and the service thread.
         if method == "GET":
             if path in ("/", "/healthz"):
                 from .. import __version__
@@ -513,9 +513,9 @@ class ServerCore:
                     "uptime_seconds": time.perf_counter() - self._started,
                 }
             if path == "/stats":
-                return self.stats()
+                return await asyncio.to_thread(self.stats)
             if path == "/metrics":
-                text = self.metrics_text()
+                text = await asyncio.to_thread(lambda: render_prometheus(self.metrics_snapshot()))
                 return {"Content-Type": METRICS_CONTENT_TYPE}, text.encode("utf-8")
             if path == "/debug/traces":
                 return {
@@ -528,9 +528,9 @@ class ServerCore:
             if path.startswith("/debug/traces/"):
                 return self._get_trace(path[len("/debug/traces/"):], query)
             if path == "/debug/exemplars":
-                return self._get_exemplars()
+                return await asyncio.to_thread(self._get_exemplars)
             if path == "/debug/slo":
-                return self.slo.evaluate(self.metrics_snapshot())
+                return await asyncio.to_thread(lambda: self.slo.evaluate(self.metrics_snapshot()))
             if path == "/builds":
                 return {"builds": [dict(rec) for rec in self._builds.values()]}
             if path.startswith("/builds/"):
@@ -591,10 +591,6 @@ class ServerCore:
             )
         )
         return merge_snapshots(*parts)
-
-    def metrics_text(self) -> str:
-        """The merged Prometheus exposition for ``GET /metrics``."""
-        return render_prometheus(self.metrics_snapshot())
 
     def _get_exemplars(self) -> Dict[str, Any]:
         """``GET /debug/exemplars``: bucket exemplars resolved against the ring.
@@ -1158,9 +1154,10 @@ class ServerCore:
             },
             "builds": {
                 **builds,
+                # list() copies atomically: the loop may add builds meanwhile.
                 "queued": sum(
                     1
-                    for rec in self._builds.values()
+                    for rec in list(self._builds.values())
                     if rec["status"] in ("queued", "running")
                 ),
                 "limit": self.build_queue_limit,

@@ -18,10 +18,14 @@ of mixed :class:`~repro.service.requests.QueryRequest` objects and
 
 This is exactly the workload shape Theorem 1.3 / Corollary 1.3.1 build for:
 one expensive (sub)unit-Monge product, unboundedly many O(batch) queries.
+
+Service and cache count in their own metrics registries; :func:`service_counts`
+derives the stats counts from their snapshot, here and in the shard router.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -31,7 +35,7 @@ import numpy as np
 from ..analysis.serialize import weighted_checksum
 from ..lis.semilocal import validate_intervals
 from ..streaming.recompose import extend_value_matrix
-from .cache import IndexCache
+from .cache import IndexCache, cache_counters
 from .index import (
     INDEX_KINDS,
     SemiLocalIndex,
@@ -41,30 +45,11 @@ from .index import (
     lis_index_fingerprint,
 )
 from .requests import OPS, QueryRequest, ServiceRequestError, TargetSpec
-from ..obs.metrics import get_registry
+from ..obs.metrics import MetricsRegistry, get_registry, merge_snapshots, snapshot_sum
 from ..obs.trace import span
 from ..resilience.faults import fault_point
 
-__all__ = ["RequestOutcome", "ServiceBatchResult", "QueryService"]
-
-_REQUESTS = get_registry().counter(
-    "repro_service_requests_total", "Requests answered by QueryService.submit"
-)
-_BATCHES = get_registry().counter(
-    "repro_service_batches_total", "Batches answered by QueryService.submit"
-)
-_QUERIES = get_registry().counter(
-    "repro_service_queries_total", "Interval evaluations run by the vectorised pass"
-)
-_BUILDS = get_registry().counter(
-    "repro_index_builds_total", "Index builds by kind (cache misses that built)", ("kind",)
-)
-_BUILD_SECONDS = get_registry().histogram(
-    "repro_index_build_seconds", "Wall-clock of index builds"
-)
-_QUERY_SECONDS = get_registry().histogram(
-    "repro_query_pass_seconds", "Wall-clock of vectorised query passes"
-)
+__all__ = ["RequestOutcome", "ServiceBatchResult", "QueryService", "service_counts"]
 
 
 @dataclass
@@ -119,6 +104,28 @@ class ServiceBatchResult:
         return {outcome.request_id: outcome for outcome in self.outcomes}
 
 
+class FingerprintMemo(Dict[Tuple[TargetSpec, str, bool], str]):
+    """``(target, kind, strict) -> fingerprint`` of the index a request needs.
+
+    TargetSpec fully determines the input content, so warm lookups skip both
+    the O(n) target realisation and the SHA-256 over its bytes.  The shard
+    router routes by the same memo.
+    """
+
+    def lookup(self, target: TargetSpec, kind: str, strict: bool) -> Tuple[str, Any]:
+        """``(fingerprint, realised)``: the realised target on first sighting, else None."""
+        fingerprint = self.get((target, kind, strict))
+        if fingerprint is not None:
+            return fingerprint, None
+        realised = target.realise()
+        if kind == "lcs":
+            fingerprint = lcs_index_fingerprint(*realised)
+        else:
+            fingerprint = lis_index_fingerprint(realised, kind, strict)
+        self[(target, kind, strict)] = fingerprint
+        return fingerprint, realised
+
+
 class QueryService:
     """Batched semi-local query serving over an index cache.
 
@@ -136,6 +143,8 @@ class QueryService:
         parameter and the execution backend (``serial``/``thread``/
         ``process``).  Backends change build wall-clock only — the built
         index, and therefore every answer, is bit-identical across them.
+
+    ``/metrics`` shows the service's and its cache's registries until :meth:`close`.
     """
 
     def __init__(
@@ -152,18 +161,34 @@ class QueryService:
         self.mode = mode
         self.delta = float(delta)
         self.backend = backend
-        #: ``(target, kind, strict) -> fingerprint`` memo: TargetSpec fully
-        #: determines the input content, so warm submits skip both the O(n)
-        #: target realisation and the SHA-256 over its bytes.
-        self._fingerprints: Dict[Tuple[TargetSpec, str, bool], str] = {}
-        self.requests_served = 0
-        self.batches_served = 0
-        self.queries_evaluated = 0
-        self.indexes_built = 0
-        self.indexes_refreshed = 0
-        self.build_seconds = 0.0
-        self.query_seconds = 0.0
-        self.refresh_seconds = 0.0
+        self._fingerprints = FingerprintMemo()
+        self.registry = MetricsRegistry()
+        counter, histogram = self.registry.counter, self.registry.histogram
+        self._requests = counter(
+            "repro_service_requests_total", "Requests answered by QueryService.submit"
+        )
+        self._batches = counter(
+            "repro_service_batches_total", "Batches answered by QueryService.submit"
+        )
+        self._queries = counter(
+            "repro_service_queries_total", "Interval evaluations run by the vectorised pass"
+        )
+        self._builds = counter(
+            "repro_index_builds_total", "Index builds by kind (cache misses that built)", ("kind",)
+        )
+        self._build_seconds = histogram("repro_index_build_seconds", "Wall-clock of index builds")
+        self._query_seconds = histogram(
+            "repro_query_pass_seconds", "Wall-clock of vectorised query passes"
+        )
+        self._refresh_seconds = histogram(
+            "repro_index_refresh_seconds", "Wall-clock of in-place index refreshes"
+        )
+        get_registry().register_collector(self.registry.snapshot)
+
+    def close(self) -> None:
+        """Take this service's and its cache's series off ``/metrics`` (both keep working)."""
+        get_registry().unregister_collector(self.registry.snapshot)
+        self.cache.close()
 
     # ------------------------------------------------------------------ index
     def _build_index(
@@ -187,19 +212,10 @@ class QueryService:
     def _get_index(
         self, target: TargetSpec, kind: str, strict: bool
     ) -> Tuple[SemiLocalIndex, bool]:
-        key = (target, kind, strict)
-        fingerprint = self._fingerprints.get(key)
-        realised = None
-        if fingerprint is None:
-            # First sighting: realise the target once to fingerprint it.
-            # TargetSpec fully determines the content, so the memo makes every
-            # later submit skip both the realisation and the hashing.
-            realised = target.realise()
-            if kind == "lcs":
-                fingerprint = lcs_index_fingerprint(*realised)
-            else:
-                fingerprint = lis_index_fingerprint(realised, kind, strict)
-            self._fingerprints[key] = fingerprint
+        # A first sighting realised the target to fingerprint it; the build
+        # reuses that realisation.
+        fingerprint, realised = self._fingerprints.lookup(target, kind, strict)
+
         def _traced_build() -> SemiLocalIndex:
             fault_point("index.build", kind=kind)
             with span("build", kind=kind, fingerprint=fingerprint[:12]):
@@ -207,11 +223,8 @@ class QueryService:
 
         index, was_cached = self.cache.get_or_build(fingerprint, _traced_build)
         if not was_cached:
-            self.indexes_built += 1
-            seconds = float(index.provenance.get("build_seconds", 0.0))
-            self.build_seconds += seconds
-            _BUILDS.inc(kind=kind)
-            _BUILD_SECONDS.observe(seconds)
+            self._builds.inc(kind=kind)
+            self._build_seconds.observe(float(index.provenance.get("build_seconds", 0.0)))
         return index, was_cached
 
     def ensure_index(
@@ -224,18 +237,7 @@ class QueryService:
         sensible kind for the target (``'lcs'`` for string pairs,
         ``'lis:position'`` for sequences).
         """
-        if kind is None:
-            kind = "lcs" if target.kind == "string_pair" else "lis:position"
-        if kind not in INDEX_KINDS:
-            raise ServiceRequestError(
-                f"unknown index kind {kind!r}; expected one of {INDEX_KINDS}"
-            )
-        if (kind == "lcs") != (target.kind == "string_pair"):
-            raise ServiceRequestError(
-                f"index kind {kind!r} does not fit a {target.kind!r} target"
-            )
-        strict = True if kind == "lcs" else bool(strict)
-        return self._get_index(target, kind, strict)
+        return self._get_index(target, *normalise_ensure(target, kind, strict))
 
     # ----------------------------------------------------------------- refresh
     def refresh(
@@ -279,8 +281,7 @@ class QueryService:
             },
         )
         self.cache.put(refreshed)
-        self.indexes_refreshed += 1
-        self.refresh_seconds += seconds
+        self._refresh_seconds.observe(seconds)
         return refreshed, was_cached
 
     # -------------------------------------------------------------- intervals
@@ -328,7 +329,6 @@ class QueryService:
         """
         requests = list(requests)
         started = time.perf_counter()
-        queries_before = self.queries_evaluated
         # Group by required index identity, preserving first-seen order.
         # Refresh requests mutate the cache, so they execute individually (in
         # batch order) rather than joining a query group.
@@ -355,7 +355,7 @@ class QueryService:
             )
             built += 0 if was_cached else 1
             reused += 1 if was_cached else 0
-            self.queries_evaluated += 1
+            self._queries.inc()
             outcomes[position] = RequestOutcome(
                 request_id=request.request_id,
                 op=request.op,
@@ -382,9 +382,8 @@ class QueryService:
                 else:
                     answers = index.query_substrings(lo_cat, hi_cat)
             group_seconds = time.perf_counter() - query_started
-            self.query_seconds += group_seconds
-            self.queries_evaluated += int(lo_cat.size)
-            _QUERY_SECONDS.observe(group_seconds)
+            self._queries.inc(int(lo_cat.size))
+            self._query_seconds.observe(group_seconds)
 
             offset = 0
             for pos, request, lo, _, scalar in flat:
@@ -403,11 +402,8 @@ class QueryService:
                     seconds=group_seconds * (count / max(1, lo_cat.size)),
                 )
 
-        self.requests_served += len(requests)
-        self.batches_served += 1
-        _REQUESTS.inc(len(requests))
-        _BATCHES.inc()
-        _QUERIES.inc(self.queries_evaluated - queries_before)
+        self._requests.inc(len(requests))
+        self._batches.inc()
         return ServiceBatchResult(
             outcomes=[outcome for outcome in outcomes if outcome is not None],
             seconds=time.perf_counter() - started,
@@ -416,19 +412,51 @@ class QueryService:
         )
 
     # ------------------------------------------------------------------ stats
+    def snapshot(self) -> Dict[str, Any]:
+        """This service's and its cache's registry snapshots, merged."""
+        return merge_snapshots(self.registry.snapshot(), self.cache.registry.snapshot())
+
     def stats(self) -> Dict[str, Any]:
         """Cumulative service statistics plus the cache counters (JSON-safe)."""
         return {
             "mode": self.mode,
             "delta": self.delta,
             "backend": self.backend or "serial",
-            "batches_served": self.batches_served,
-            "requests_served": self.requests_served,
-            "queries_evaluated": self.queries_evaluated,
-            "indexes_built": self.indexes_built,
-            "indexes_refreshed": self.indexes_refreshed,
-            "build_seconds": self.build_seconds,
-            "query_seconds": self.query_seconds,
-            "refresh_seconds": self.refresh_seconds,
-            "cache": self.cache.counters(),
+            **service_counts(self.snapshot(), self.cache.max_bytes),
         }
+
+
+def normalise_ensure(target: TargetSpec, kind: Optional[str], strict: bool) -> Tuple[str, bool]:
+    """The ``(kind, strict)`` an :meth:`QueryService.ensure_index` call means.
+
+    The shard router applies it too: it must route by the same fingerprint,
+    and reject a bad kind with the same :class:`ServiceRequestError`, before
+    any worker is involved.
+    """
+    if kind is None:
+        kind = "lcs" if target.kind == "string_pair" else "lis:position"
+    if kind not in INDEX_KINDS:
+        raise ServiceRequestError(f"unknown index kind {kind!r}; expected one of {INDEX_KINDS}")
+    if (kind == "lcs") != (target.kind == "string_pair"):
+        raise ServiceRequestError(f"index kind {kind!r} does not fit a {target.kind!r} target")
+    return kind, (True if kind == "lcs" else bool(strict))
+
+
+def service_counts(snapshot: Dict[str, Any], cache_max_bytes: int) -> Dict[str, Any]:
+    """The counts of :meth:`QueryService.stats`, derived from its snapshot.
+
+    ``snapshot`` may merge several services' snapshots (the shard router's
+    totals); ``cache_max_bytes`` is then their caches' combined budget.
+    """
+    total = functools.partial(snapshot_sum, snapshot)
+    return {
+        "batches_served": int(total("repro_service_batches_total")),
+        "requests_served": int(total("repro_service_requests_total")),
+        "queries_evaluated": int(total("repro_service_queries_total")),
+        "indexes_built": int(total("repro_index_builds_total")),
+        "indexes_refreshed": int(total("repro_index_refresh_seconds", "count")),
+        "build_seconds": float(total("repro_index_build_seconds", "sum")),
+        "query_seconds": float(total("repro_query_pass_seconds", "sum")),
+        "refresh_seconds": float(total("repro_index_refresh_seconds", "sum")),
+        "cache": cache_counters(snapshot, cache_max_bytes),
+    }

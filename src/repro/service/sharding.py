@@ -43,11 +43,11 @@ Observability: every router count — requests and sub-batches routed per
 shard, worker restarts and hangs, bounded retries, degraded requests, the
 breaker-state gauge, and the queue-wait vs shard-execution timing split —
 is one counter, gauge or histogram in the router's own
-:class:`~repro.obs.metrics.MetricsRegistry`.  :meth:`ShardRouter.stats`
-reads those objects back (plus per-shard service/cache stats and the load
-imbalance, max/mean), and the registry is registered as a collector on the
-process registry until :meth:`ShardRouter.close`, so ``/metrics`` renders
-the same counts ``/stats`` reports.
+:class:`~repro.obs.metrics.MetricsRegistry` (a process-registry collector
+until :meth:`ShardRouter.close`).  :meth:`ShardRouter.stats` reads it back and
+derives the per-shard and total service counts from the workers' registry
+snapshots as ``QueryService.stats`` does, so ``/metrics`` renders the same
+counts ``/stats`` reports.
 """
 
 from __future__ import annotations
@@ -66,16 +66,27 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.native import kernel_status
 from ..mpc.engine import fork_context, in_daemonic_process
-from ..obs.metrics import MetricsRegistry, get_registry, relabel_snapshot, timing_summary
+from ..obs.metrics import (
+    MetricsRegistry,
+    get_registry,
+    merge_snapshots,
+    relabel_snapshot,
+    timing_summary,
+)
 from ..obs.trace import span, span_event
 from ..resilience.breaker import BREAKER_STATE_CODES, BreakerConfig, CircuitBreaker
 from ..resilience.deadline import DeadlineExceeded, current_deadline, note_expiry
 from ..resilience.faults import FaultPlan, active_plan, fault_point, install_plan
 from ..resilience.retry import RetryBudget, RetryPolicy
 from .cache import DEFAULT_CACHE_BYTES, IndexCache
-from .index import INDEX_KINDS, lcs_index_fingerprint, lis_index_fingerprint
 from .requests import OPS, QueryRequest, ServiceRequestError, TargetSpec
-from .serving import QueryService, ServiceBatchResult
+from .serving import (
+    FingerprintMemo,
+    QueryService,
+    ServiceBatchResult,
+    normalise_ensure,
+    service_counts,
+)
 
 __all__ = [
     "ConsistentHashRing",
@@ -104,6 +115,9 @@ DEFAULT_WORKER_TIMEOUT = 120.0
 #: Pipe poll granularity: small enough that kill decisions are prompt,
 #: large enough that an idle wait costs ~20 wakeups/second at worst.
 _POLL_STEP = 0.05
+
+#: Shard id of the router's in-process degraded fallback (off the ring).
+_FALLBACK_SHARD = -1
 
 
 class ShardWorkerCrash(RuntimeError):
@@ -216,28 +230,8 @@ def _build_worker_service(config: ShardConfig, shard_id: int) -> Tuple[QueryServ
     return service, spill_dir
 
 
-def _normalise_ensure(target: TargetSpec, kind: Optional[str], strict: bool) -> Tuple[str, bool]:
-    """The kind/strict normalisation of :meth:`QueryService.ensure_index`.
-
-    Replicated router-side because the routing fingerprint must be computed
-    *before* any worker is involved — and must reject bad kinds with the
-    same :class:`ServiceRequestError` the single-process service raises.
-    """
-    if kind is None:
-        kind = "lcs" if target.kind == "string_pair" else "lis:position"
-    if kind not in INDEX_KINDS:
-        raise ServiceRequestError(f"unknown index kind {kind!r}; expected one of {INDEX_KINDS}")
-    if (kind == "lcs") != (target.kind == "string_pair"):
-        raise ServiceRequestError(f"index kind {kind!r} does not fit a {target.kind!r} target")
-    return kind, (True if kind == "lcs" else bool(strict))
-
-
-def _execute_command(
-    service: QueryService, shard_id: int, spill_dir: Optional[str], cmd: str, payload: Any
-) -> Any:
+def _execute_command(service: QueryService, cmd: str, payload: Any) -> Any:
     """One worker command, shared verbatim by process and in-process shards."""
-    if cmd == "ping":
-        return {"shard": shard_id, "pid": os.getpid(), "spill_dir": spill_dir}
     if cmd == "submit":
         batch = service.submit(payload)
         return batch.outcomes, batch.indexes_built, batch.indexes_reused
@@ -260,11 +254,7 @@ def _execute_command(
             already += 1 if was_cached else 0
         return {"prefetched": warmed, "already_cached": already}
     if cmd == "stats":
-        doc = service.stats()
-        doc["shard"] = shard_id
-        doc["pid"] = os.getpid()
-        doc["spill_dir"] = spill_dir
-        return doc
+        return service.snapshot()
     if cmd == "metrics":
         # The worker process's whole registry snapshot (plain picklable
         # dicts); the router stamps it with a shard label and merges it into
@@ -307,7 +297,7 @@ def _shard_worker_main(conn, shard_id: int, config: ShardConfig) -> None:
                 # while "crash"/"hang" behave like the real thing (pipe EOF
                 # / unresponsive worker) and exercise the recovery paths.
                 fault_point("worker.dispatch", shard=shard_id, cmd=cmd)
-                result = _execute_command(service, shard_id, spill_dir, cmd, payload)
+                result = _execute_command(service, cmd, payload)
                 conn.send(("ok", result))
             except ServiceRequestError as exc:
                 conn.send(("error", ("request", str(exc))))
@@ -543,26 +533,28 @@ class _InlineWorker(_WorkerBase):
 
     def __init__(self, shard_id: int, config: ShardConfig) -> None:
         super().__init__(shard_id, config)
-        self._service, spill_dir = _build_worker_service(config, shard_id)
-        self._own_spill(spill_dir)
+        self._start()
 
-    def call(
-        self,
-        cmd: str,
-        payload: Any,
-        deadline_seconds: Optional[float] = None,
-        hang_seconds: Optional[float] = None,
-    ) -> Any:
+    def _start(self) -> None:
+        self._service, spill_dir = _build_worker_service(self.config, self.shard_id)
+        self._own_spill(spill_dir)
+        if self.shard_id != _FALLBACK_SHARD:
+            # A ring shard reaches /metrics through the router, shard-labelled
+            # like a process worker; the fallback reports to the process registry.
+            self._service.close()
+
+    def call(self, cmd: str, payload: Any, deadline_seconds=None, hang_seconds=None) -> Any:
         # Inline execution cannot hang on a pipe; the timeouts are accepted
         # for signature parity and ignored (deadlines are still enforced at
         # the router and edge checkpoints around this call).
-        return _execute_command(self._service, self.shard_id, self.spill_dir, cmd, payload)
+        return _execute_command(self._service, cmd, payload)
 
     def restart(self) -> None:  # pragma: no cover - inline workers cannot crash
-        self._service, spill_dir = _build_worker_service(self.config, self.shard_id)
-        self._own_spill(spill_dir)
+        self._service.close()
+        self._start()
 
     def stop(self) -> None:
+        self._service.close()
         self._cleanup_spill()
 
 
@@ -664,13 +656,15 @@ class ShardRouter:
         self._pool = ThreadPoolExecutor(
             max_workers=self.shards, thread_name_prefix="repro-shard-router"
         )
-        self._fingerprints: Dict[Tuple[TargetSpec, str, bool], str] = {}
+        self._fingerprints = FingerprintMemo()
         self.closed = False
         #: Deterministic jitter source + injectable sleep (tests stub both).
         self._rng = random.Random(0x5EED ^ self.shards)
         self._sleep = time.sleep
-        #: In-process worker behind degraded answers, built on first use.
+        #: In-process worker behind degraded answers, built on first use
+        #: (under the lock, so two shards degrading at once share one).
         self._fallback: Optional[_InlineWorker] = None
+        self._fallback_lock = threading.Lock()
         # Every router count lives in this registry: stats() reads it back
         # and /metrics renders it through the collector registered below.
         self.registry = MetricsRegistry()
@@ -778,7 +772,7 @@ class ShardRouter:
         self.closed = True
         get_registry().unregister_collector(self.registry.snapshot)
         self._pool.shutdown(wait=True)
-        for worker in self._workers:
+        for worker in self._workers + ([self._fallback] if self._fallback else []):
             with worker.lock:
                 try:
                     worker.stop()
@@ -792,22 +786,9 @@ class ShardRouter:
         self.close()
 
     # --------------------------------------------------------------- routing
-    def routing_fingerprint(self, target: TargetSpec, kind: str, strict: bool) -> str:
-        """The content fingerprint a request routes by (memoised per spec)."""
-        key = (target, kind, strict)
-        fingerprint = self._fingerprints.get(key)
-        if fingerprint is None:
-            realised = target.realise()
-            if kind == "lcs":
-                fingerprint = lcs_index_fingerprint(*realised)
-            else:
-                fingerprint = lis_index_fingerprint(realised, kind, strict)
-            self._fingerprints[key] = fingerprint
-        return fingerprint
-
     def shard_for(self, target: TargetSpec, kind: str, strict: bool) -> int:
         """The shard id owning the index a ``(target, kind, strict)`` needs."""
-        return self.ring.owner(self.routing_fingerprint(target, kind, strict))
+        return self.ring.owner(self._fingerprints.lookup(target, kind, strict)[0])
 
     def _shard_for_request(self, request: QueryRequest) -> int:
         kind = request.index_kind()
@@ -1000,37 +981,11 @@ class ShardRouter:
 
         items = sorted(sub_batches.items())
         with span("route", sub_batches=len(items)):
-            if len(items) == 1:
-                shard_id, members = items[0]
-                shard_results = [(members, run_shard(shard_id, members))]
-            else:
-                # The pool threads do not inherit the caller's contextvars, so
-                # each dispatch carries a fresh context copy — worker spans
-                # land under this route span even across the thread hop.
-                futures = [
-                    (
-                        members,
-                        self._pool.submit(
-                            contextvars.copy_context().run, run_shard, shard_id, members
-                        ),
-                    )
-                    for shard_id, members in items
-                ]
-                # Wait for every sub-batch before surfacing the first error, so
-                # no dispatch is left running against torn-down state.
-                shard_results, first_error = [], None
-                for members, future in futures:
-                    try:
-                        shard_results.append((members, future.result()))
-                    except Exception as exc:  # noqa: BLE001 — re-raised below
-                        if first_error is None:
-                            first_error = exc
-                if first_error is not None:
-                    raise first_error
+            results = self._fan_out(items, run_shard)
 
         outcomes: List[Any] = [None] * len(requests)
         built = reused = 0
-        for members, (sub_outcomes, sub_built, sub_reused) in shard_results:
+        for (_, members), (sub_outcomes, sub_built, sub_reused) in zip(items, results):
             for (position, _), outcome in zip(members, sub_outcomes):
                 outcomes[position] = outcome
             built += sub_built
@@ -1044,6 +999,29 @@ class ShardRouter:
             indexes_reused=reused,
         )
 
+    def _fan_out(self, items: List[Tuple[int, Any]], run) -> List[Any]:
+        """``run(shard_id, payload)`` per item, concurrently when several.
+
+        Each dispatch carries a copy of the caller's context (worker spans
+        stay under the caller's span), and all finish before the first error
+        surfaces, so none is left running against torn-down state.
+        """
+        if len(items) <= 1:
+            return [run(shard_id, payload) for shard_id, payload in items]
+        futures = [
+            self._pool.submit(contextvars.copy_context().run, run, shard_id, payload)
+            for shard_id, payload in items
+        ]
+        results, first_error = [], None
+        for future in futures:
+            try:
+                results.append(future.result())
+            except Exception as exc:  # noqa: BLE001 — re-raised below
+                first_error = first_error or exc
+        if first_error is not None:
+            raise first_error
+        return results
+
     def _serve_degraded(self, shard_id: int, sub_requests: List[QueryRequest]):
         """Answer one shard's sub-batch from the router's in-process fallback.
 
@@ -1054,13 +1032,12 @@ class ShardRouter:
         worker-fresh one.  Returns the same ``(outcomes, built, reused)``
         tuple the worker's ``submit`` command produces.
         """
-        fallback = self._fallback
-        if fallback is None:
-            # Two shards degrading at once may both build one; the loser is
-            # dropped after answering its sub-batch, which costs only a cache.
-            fallback = self._fallback = _InlineWorker(
-                -1, replace(self.config, spill_root=None, fault_plan=None)
-            )
+        with self._fallback_lock:
+            if self._fallback is None:
+                self._fallback = _InlineWorker(
+                    _FALLBACK_SHARD, replace(self.config, spill_root=None, fault_plan=None)
+                )
+            fallback = self._fallback
         with span("degraded", shard=shard_id, requests=len(sub_requests)):
             with fallback.lock:
                 outcomes, built, reused = fallback.call("submit", sub_requests)
@@ -1082,7 +1059,7 @@ class ShardRouter:
         """
         if self.closed:
             raise RuntimeError("ShardRouter is closed")
-        kind, strict = _normalise_ensure(target, kind, strict)
+        kind, strict = normalise_ensure(target, kind, strict)
         shard_id = self.shard_for(target, kind, strict)
         return self._call(shard_id, "ensure", (target, kind, strict), request_count=1)
 
@@ -1106,23 +1083,14 @@ class ShardRouter:
                 (target, kind), strict = item, True
             else:
                 target, kind, strict = item
-            kind, strict = _normalise_ensure(target, kind, strict)
+            kind, strict = normalise_ensure(target, kind, strict)
             shard_id = self.shard_for(target, kind, strict)
             groups.setdefault(shard_id, []).append((target, kind, strict))
 
         def run_shard(shard_id: int, specs: List[Tuple[TargetSpec, str, bool]]):
             return self._call(shard_id, "prefetch", specs, request_count=0)
 
-        items = sorted(groups.items())
-        if len(items) <= 1:
-            results = [(shard_id, run_shard(shard_id, specs)) for shard_id, specs in items]
-        else:
-            futures = [
-                (shard_id, self._pool.submit(run_shard, shard_id, specs))
-                for shard_id, specs in items
-            ]
-            results = [(shard_id, future.result()) for shard_id, future in futures]
-        per_shard = {shard_id: outcome for shard_id, outcome in results}
+        per_shard = dict(zip(sorted(groups), self._fan_out(sorted(groups.items()), run_shard)))
         return {
             "prefetched": sum(outcome["prefetched"] for outcome in per_shard.values()),
             "already_cached": sum(outcome["already_cached"] for outcome in per_shard.values()),
@@ -1131,19 +1099,18 @@ class ShardRouter:
 
     # --------------------------------------------------------------- metrics
     def extra_metric_snapshots(self) -> List[Dict[str, Any]]:
-        """Shard-stamped registry snapshots fetched from each worker process.
+        """Shard-stamped registry snapshots, one per worker.
 
-        Inline (fallback) workers share this process's registry — their
-        counts are already in the local snapshot — so only process workers
-        are polled; a worker that cannot answer is skipped rather than
-        failing the scrape.
+        A process worker ships its whole registry.  An inline worker shares
+        this process's registry for everything but its service and cache,
+        so it ships just their snapshot.  A worker that cannot answer is
+        skipped rather than failing the scrape.
         """
         snapshots: List[Dict[str, Any]] = []
         for worker in self._workers:
-            if worker.kind != "process":
-                continue
+            cmd = "metrics" if worker.kind == "process" else "stats"
             try:
-                snap = self._call(worker.shard_id, "metrics", None)
+                snap = self._call(worker.shard_id, cmd, None)
             except (RuntimeError, ShardWorkerCrash, ServiceRequestError):
                 continue
             snapshots.append(relabel_snapshot(snap, {"shard": str(worker.shard_id)}))
@@ -1153,17 +1120,31 @@ class ShardRouter:
     def stats(self) -> Dict[str, Any]:
         """Router + per-shard statistics (JSON-safe; surfaces in ``/stats``).
 
-        Includes the top-level keys the single-process service stats carry
-        (``mode``/``delta``/``backend``/``cache``), with the cache counters
-        *aggregated* across shards, so artifact writers and dashboards read
-        one shape regardless of sharding.
+        Each per-shard document and the totals are the single-process
+        :meth:`QueryService.stats` document, derived by the same
+        :func:`~repro.service.serving.service_counts` from the workers'
+        snapshots (the totals from their merge), so artifact writers and
+        dashboards read one shape regardless of sharding.  ``batches_served``
+        and ``requests_served`` count what the router routed.
         """
+        config = self.config
+        header = {"mode": config.mode, "delta": config.delta, "backend": config.backend or "serial"}
         per_shard: List[Dict[str, Any]] = []
+        snapshots: List[Dict[str, Any]] = []
         for worker in self._workers:
             try:
-                doc = self._call(worker.shard_id, "stats", None)
+                snapshot = self._call(worker.shard_id, "stats", None)
             except (RuntimeError, ShardWorkerCrash) as exc:
                 doc = {"shard": worker.shard_id, "error": str(exc)}
+            else:
+                snapshots.append(snapshot)
+                doc = {
+                    **header,
+                    **service_counts(snapshot, config.cache_bytes),
+                    "shard": worker.shard_id,
+                    "pid": worker.process.pid if worker.kind == "process" else os.getpid(),
+                    "spill_dir": worker.spill_dir,
+                }
             shard = str(worker.shard_id)
             doc["worker"] = worker.kind
             doc["requests_routed"] = self._shard_requests.value(shard=shard)
@@ -1173,43 +1154,11 @@ class ShardRouter:
 
         shards = [str(shard) for shard in range(self.shards)]
         routed = [self._shard_requests.value(shard=shard) for shard in shards]
-        total_routed = sum(routed)
-        mean_routed = total_routed / len(routed) if routed else 0.0
-        imbalance = (max(routed) / mean_routed) if mean_routed > 0 else 0.0
+        mean_routed = sum(routed) / len(routed)
+        imbalance = max(routed) / mean_routed if mean_routed > 0 else 0.0
 
-        cache_keys = (
-            "entries",
-            "current_bytes",
-            "hits",
-            "misses",
-            "evictions",
-            "spill_saves",
-            "spill_loads",
-            "oversize_spills",
-        )
-        cache: Dict[str, Any] = {key: 0 for key in cache_keys}
-        for doc in per_shard:
-            counters = doc.get("cache") or {}
-            for key in cache_keys:
-                cache[key] += int(counters.get(key, 0))
-        cache["max_bytes"] = int(self.config.cache_bytes) * self.shards
-        cache["per_shard_max_bytes"] = int(self.config.cache_bytes)
-        lookups = cache["hits"] + cache["misses"]
-        cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0
-
-        # Aggregated single-process-shaped counters, so CLI summaries and
-        # artifact writers read one stats shape regardless of sharding.
-        service_totals: Dict[str, Any] = {
-            "queries_evaluated": 0,
-            "indexes_built": 0,
-            "indexes_refreshed": 0,
-            "build_seconds": 0.0,
-            "query_seconds": 0.0,
-            "refresh_seconds": 0.0,
-        }
-        for doc in per_shard:
-            for key in service_totals:
-                service_totals[key] += doc.get(key, 0)
+        totals = service_counts(merge_snapshots(*snapshots), config.cache_bytes * self.shards)
+        totals["cache"]["per_shard_max_bytes"] = config.cache_bytes
 
         resilience: Dict[str, Any] = {
             "worker_timeout_seconds": self.worker_timeout,
@@ -1236,12 +1185,10 @@ class ShardRouter:
             "serial_fallback": self.serial_fallback,
             "ring_replicas": self.ring.replicas,
             "retry_limit": self.retry_limit,
-            "mode": self.config.mode,
-            "delta": self.config.delta,
-            "backend": self.config.backend or "serial",
+            **header,
+            **totals,
             "batches_served": self._batches.value(),
             "requests_served": self._requests.value(),
-            **service_totals,
             "restarts": sum(self._restarts.value(shard=shard) for shard in shards),
             "retries": self._retries.value(),
             "load": {
@@ -1258,6 +1205,5 @@ class ShardRouter:
                 ),
             },
             "resilience": resilience,
-            "cache": cache,
             "per_shard": per_shard,
         }

@@ -6,7 +6,10 @@ Hypothesis generates v2 batches — mixed ops over inline and named targets,
 event loop, over a plain :class:`QueryService` and over an in-process
 :class:`ShardRouter`.  Answers must equal a serial ``QueryService`` oracle,
 errors must stay with the request that caused them, and each count on
-``/stats`` must equal the series ``/metrics`` renders for it.
+``/stats`` must equal the series ``/metrics`` renders for it.  That holds for
+the service layer too: over the router, each shard's cache and service series
+sum to the ``/stats`` totals; over a plain service, which shares the process
+series with every other live service, the two move by the same amount.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import asyncio
 import functools
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.obs.metrics import parse_prometheus_text
@@ -99,17 +103,24 @@ def _well_formed(entry) -> bool:
 
 
 async def _drive(service, batches, oversize):
+    """Replies, plus ``(stats, parsed /metrics)`` before the last batch and at the end."""
     core = ServerCore(service, max_inflight=MAX_INFLIGHT)
     await core.startup()
+
+    async def scrape():
+        _, _, stats = await core.handle("GET", "/stats", b"")
+        _, _, metrics = await core.handle("GET", "/metrics", b"")
+        return json.loads(stats), parse_prometheus_text(metrics.decode())
+
     try:
-        replies = []
-        for batch in batches + [oversize]:
+        replies, before = [], None
+        for position, batch in enumerate(batches + [oversize]):
+            if position == len(batches) - 1:
+                before = await scrape()
             body = json.dumps({"version": 2, "requests": batch}).encode()
             status, _, payload = await core.handle("POST", "/v2/batch", body)
             replies.append((status, json.loads(payload)))
-        _, _, stats = await core.handle("GET", "/stats", b"")
-        _, _, metrics = await core.handle("GET", "/metrics", b"")
-        return replies, json.loads(stats), parse_prometheus_text(metrics.decode())
+        return replies, before, await scrape()
     finally:
         await core.shutdown()
 
@@ -174,6 +185,49 @@ def _assert_reconciled(stats, parsed):
     ) + _series(parsed, "repro_shard_pipe_seconds_count", cmd="ensure")
 
 
+#: ``/stats`` service-layer key path -> the ``/metrics`` series it reads.
+_SERVICE_SERIES = (
+    (("cache", "hits"), "repro_cache_lookups_total", {"result": "hit"}),
+    (("cache", "misses"), "repro_cache_lookups_total", {"result": "miss"}),
+    (("cache", "evictions"), "repro_cache_evictions_total", {}),
+    (("indexes_built",), "repro_index_builds_total", {}),
+    (("build_seconds",), "repro_index_build_seconds_sum", {}),
+    (("query_seconds",), "repro_query_pass_seconds_sum", {}),
+)
+
+
+def _service_value(service, path):
+    for key in path:
+        service = service[key]
+    return service
+
+
+def _samples_total(parsed, name, labels, sharded):
+    """Sum of ``name``'s samples carrying ``labels`` (and a shard label, if sharded)."""
+    wanted = {(key, str(value)) for key, value in labels.items()}
+    return sum(
+        value
+        for key, value in parsed.get(name, {}).items()
+        if wanted <= set(key) and (not sharded or "shard" in dict(key))
+    )
+
+
+def _assert_service_reconciled(before, after, sharded):
+    (stats_before, parsed_before), (stats_after, parsed_after) = before, after
+    for path, name, labels in _SERVICE_SERIES:
+        observed = _service_value(stats_after["service"], path)
+        if sharded:
+            assert observed == _samples_total(parsed_after, name, labels, True), path
+            continue
+        # Every live service in the process adds to the unlabelled series, so
+        # compare how far each side moved across the last batch.
+        moved = observed - _service_value(stats_before["service"], path)
+        metric_moved = _samples_total(parsed_after, name, labels, False) - _samples_total(
+            parsed_before, name, labels, False
+        )
+        assert moved == pytest.approx(metric_moved, abs=1e-9), path
+
+
 @settings(
     max_examples=30,
     deadline=None,
@@ -185,7 +239,7 @@ def test_stats_reconcile_with_metrics_and_answers_match_oracle(batches, sharded)
     service = (
         ShardRouter(2, force_serial=True) if sharded else QueryService(cache=IndexCache())
     )
-    replies, stats, parsed = asyncio.run(_drive(service, batches, oversize))
+    replies, before, (stats, parsed) = asyncio.run(_drive(service, batches, oversize))
 
     for batch, (status, reply) in zip(batches, replies):
         assert status == 200, reply
@@ -208,3 +262,4 @@ def test_stats_reconcile_with_metrics_and_answers_match_oracle(batches, sharded)
     assert requests["answered"] == sent - malformed
     assert requests["failed"] == malformed
     _assert_reconciled(stats, parsed)
+    _assert_service_reconciled(before, (stats, parsed), sharded)

@@ -369,6 +369,31 @@ class TestTimingsMatchMetrics:
             handle.stop()
 
 
+class TestScrapesOffTheLoop:
+    def test_healthz_answers_while_a_metrics_scrape_waits_on_a_worker(self):
+        from repro.resilience import FaultPlan, FaultRule, uninstall_plan
+        from repro.service import ShardRouter
+
+        delay_first_scrape = FaultRule(
+            "worker.dispatch", "delay", hits=[1], delay_ms=1500, match={"cmd": "metrics"}
+        )
+        plan = FaultPlan([delay_first_scrape])
+        handle = start_server(ShardRouter(1, fault_plan=plan))
+        try:
+            scrape = threading.Thread(target=_metrics, args=(handle.url,))
+            scrape.start()
+            time.sleep(0.2)  # the scrape now waits on the delayed worker
+            started = time.perf_counter()
+            status, _, body = get_json(handle.url + "/healthz")
+            elapsed = time.perf_counter() - started
+            scrape.join()
+            assert status == 200 and body["status"] == "ok"
+            assert elapsed < 0.5, f"/healthz took {elapsed:.2f}s behind a /metrics scrape"
+        finally:
+            handle.stop()
+            uninstall_plan()
+
+
 # ------------------------------------------------------------- fault injection
 class TestFaultInjection:
     def test_failing_build_is_isolated_and_server_recovers(self, monkeypatch):

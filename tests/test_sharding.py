@@ -18,12 +18,14 @@ import json
 import multiprocessing
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.experiments import get_spec, run_experiment
 from repro.experiments.cli import main as cli_main
+from repro.obs.metrics import get_registry
 from repro.server import get_json, post_json, start_server
 from repro.service import (
     ConsistentHashRing,
@@ -311,6 +313,25 @@ class TestIsolationAndWarmup:
             assert router.concurrency == 1
         finally:
             router.close()
+
+
+class TestCollectorLifecycle:
+    def test_close_unregisters_every_collector_the_router_registered(self):
+        registry = get_registry()
+        before = len(registry._collectors)
+        router = ShardRouter(2, force_serial=True)
+        try:
+            requests = _mixed_requests(seed=6, targets=2)
+            router.submit(requests)
+            router._workers[0].restart()
+            # Both shards degrade at once: the in-process fallback they
+            # share is built once, and closed with the router.
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                list(pool.map(lambda shard: router._serve_degraded(shard, requests[:2]), (0, 1)))
+            assert len(registry._collectors) > before
+        finally:
+            router.close()
+        assert len(registry._collectors) == before
 
 
 # ------------------------------------------------------------ HTTP front-end
